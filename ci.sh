@@ -48,6 +48,15 @@ step "cargo build --release" cargo build --release --offline
 
 step "cargo test" cargo test -q --offline --release
 
+# The wake-serving benchmark (wakebench/) is its own crate that no
+# workspace target builds, yet it compiles against public pipeline and
+# serving APIs (decide_batch, orientation_features, liveness_input,
+# streamer_with, FrameAnalyzer::set_quant_mode, the ServeConfig fields).
+# Building and unit-testing it here makes an API break fail CI rather than
+# the benchmark run.
+step "wakebench build + unit tests" \
+    cargo test -q --offline --release --manifest-path wakebench/Cargo.toml
+
 # The ht-par determinism contract says thread count must never change any
 # result, so the whole suite must stay green at both extremes of the
 # HT_THREADS override (1 = serial global pool, 4 = oversubscribed on small

@@ -1,4 +1,4 @@
-//! Planned-vs-legacy FFT engine comparison (`BENCH_fft.json`), plus the
+//! Planned FFT engine timings (`BENCH_fft.json`), plus the
 //! plan-cache gate: after a warm-up pass, a steady-state workload touching
 //! a fixed set of transform sizes must add **zero** cache misses (misses
 //! are bounded by the number of distinct sizes), asserted through the
@@ -19,14 +19,10 @@ fn complex_signal(n: usize) -> Vec<Complex> {
     signal(n).into_iter().map(Complex::from_real).collect()
 }
 
-/// Legacy (per-call recurrence twiddles, full complex transform on real
-/// input) vs planned (cached tables, one-sided half-size transform).
+/// Planned real FFTs (cached tables, one-sided half-size transform).
 fn bench_real_fft(s: &mut Suite) {
     for &n in &[32_768usize, 48_000] {
         let x = signal(n);
-        s.bench(&format!("fft/legacy_rfft_{n}"), || {
-            fft::legacy::rfft(black_box(&x))
-        });
         // The planned hot path: plan and scratch held across calls, output
         // written into a reused buffer (this is what StftProcessor and
         // Correlator do per frame).
@@ -48,9 +44,6 @@ fn bench_real_fft(s: &mut Suite) {
 fn bench_inverse(s: &mut Suite) {
     let n = 32_768usize;
     let spec_full = fft::rfft(&signal(n));
-    s.bench("fft/legacy_irfft_32768", || {
-        fft::legacy::ifft(black_box(&spec_full))
-    });
     let plan = fft::rfft_plan(n);
     let mut scratch = fft::RealFftScratch::new();
     let onesided = spec_full[..plan.onesided_len()].to_vec();
@@ -61,14 +54,11 @@ fn bench_inverse(s: &mut Suite) {
     });
 }
 
-/// Bluestein sizes: the legacy path rebuilds the chirp and its filter
-/// spectrum every call; the plan precomputes both.
+/// Bluestein sizes: the plan precomputes the chirp and its filter
+/// spectrum.
 fn bench_bluestein(s: &mut Suite) {
     let n = 12_000usize;
     let x = complex_signal(n);
-    s.bench("fft/legacy_bluestein_12000", || {
-        fft::legacy::fft(black_box(&x))
-    });
     s.bench("fft/planned_bluestein_12000", || fft::fft(black_box(&x)));
 }
 

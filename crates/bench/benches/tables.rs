@@ -82,7 +82,7 @@ fn bench_table4(s: &mut Suite) {
     for n in [2usize, 4, 6] {
         let subset: Vec<Vec<f64>> = denoised[..n].to_vec();
         s.bench(&format!("table4_mic_count/features_{n}_mics"), || {
-            headtalk::features::extract(black_box(&subset), &cfg)
+            headtalk::HeadTalk::orientation_features(&cfg, black_box(&subset))
         });
     }
 }

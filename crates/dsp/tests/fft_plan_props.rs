@@ -1,6 +1,6 @@
-//! Property tests for the planned FFT engine: agreement with the legacy
-//! recurrence implementation, real-FFT round-trips over random lengths, and
-//! race-free deterministic plan-cache sharing across `ht-par` workers.
+//! Property tests for the planned FFT engine: agreement with an exact
+//! (compensated-summation) DFT, real-FFT round-trips over random lengths,
+//! and race-free deterministic plan-cache sharing across `ht-par` workers.
 
 use ht_dsp::check::property;
 use ht_dsp::fft;
@@ -13,18 +13,57 @@ fn random_complex(g: &mut ht_dsp::check::Gen, len: usize) -> Vec<Complex> {
         .collect()
 }
 
+/// Exact DFT bin `X[k]` by compensated (Kahan) summation over
+/// independently rounded twiddles, so the reference error stays near
+/// machine epsilon even for long transforms.
+fn dft_bin(x: &[Complex], k: usize) -> Complex {
+    let n = x.len();
+    let (mut sr, mut si, mut cr, mut ci) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for (j, xj) in x.iter().enumerate() {
+        let angle = -2.0 * std::f64::consts::PI * ((k * j) % n) as f64 / n as f64;
+        let p = *xj * Complex::from_angle(angle);
+        let yr = p.re - cr;
+        let tr = sr + yr;
+        cr = (tr - sr) - yr;
+        sr = tr;
+        let yi = p.im - ci;
+        let ti = si + yi;
+        ci = (ti - si) - yi;
+        si = ti;
+    }
+    Complex::new(sr, si)
+}
+
+/// Worst error of `planned` against the exact DFT over up to 24 bins
+/// (every bin of a short transform; a seeded spread plus both edges of a
+/// long one), relative to the largest exact magnitude among them.
+fn rel_err_vs_dft(g: &mut ht_dsp::check::Gen, x: &[Complex], planned: &[Complex]) -> f64 {
+    let n = x.len();
+    let bins: Vec<usize> = if n <= 24 {
+        (0..n).collect()
+    } else {
+        (0..22)
+            .map(|_| g.usize_in(0..n))
+            .chain([0, n - 1])
+            .collect()
+    };
+    let (mut err, mut scale) = (0.0f64, f64::MIN_POSITIVE);
+    for k in bins {
+        let exact = dft_bin(x, k);
+        scale = scale.max(exact.abs());
+        err = err.max((planned[k] - exact).abs());
+    }
+    err / scale
+}
+
 #[test]
-fn planned_fft_matches_legacy_on_pow2_sizes() {
-    property("planned_fft_matches_legacy_on_pow2_sizes").run(|g| {
+fn planned_fft_matches_exact_dft_on_pow2_sizes() {
+    property("planned_fft_matches_exact_dft_on_pow2_sizes").run(|g| {
         let n = 1usize << g.usize_in(0..12);
         let x = random_complex(g, n);
         let planned = fft::fft(&x);
-        let legacy = fft::legacy::fft(&x);
-        for (p, l) in planned.iter().zip(&legacy) {
-            // Identical butterfly structure; only the twiddle rounding
-            // differs (tables vs recurrence).
-            assert!((*p - *l).abs() < 1e-8 * (n as f64).max(1.0), "n = {n}");
-        }
+        let err = rel_err_vs_dft(g, &x, &planned);
+        assert!(err < 1e-10, "n = {n}: relative error {err:.3e}");
         let back = fft::ifft(&planned);
         for (b, orig) in back.iter().zip(&x) {
             assert!((*b - *orig).abs() < 1e-9, "round trip at n = {n}");
@@ -33,19 +72,14 @@ fn planned_fft_matches_legacy_on_pow2_sizes() {
 }
 
 #[test]
-fn planned_fft_matches_legacy_on_bluestein_sizes() {
-    property("planned_fft_matches_legacy_on_bluestein_sizes").run(|g| {
+fn planned_fft_matches_exact_dft_on_bluestein_sizes() {
+    property("planned_fft_matches_exact_dft_on_bluestein_sizes").run(|g| {
         // Skew towards awkward sizes: odd, prime-ish, just-off-pow2.
         let n = g.usize_in(2..2500);
         let x = random_complex(g, n);
         let planned = fft::fft(&x);
-        let legacy = fft::legacy::fft(&x);
-        for (k, (p, l)) in planned.iter().zip(&legacy).enumerate() {
-            assert!(
-                (*p - *l).abs() < 1e-7 * (n as f64),
-                "n = {n}, bin {k}: planned {p:?} vs legacy {l:?}"
-            );
-        }
+        let err = rel_err_vs_dft(g, &x, &planned);
+        assert!(err < 1e-10, "n = {n}: relative error {err:.3e}");
     });
 }
 

@@ -251,7 +251,7 @@ impl Context {
                 .iter()
                 .map(|mics| {
                     let sub: Vec<Vec<f64>> = mics.iter().map(|&m| denoised[m].clone()).collect();
-                    headtalk::features::extract(&sub, &cfg)
+                    HeadTalk::orientation_features(&cfg, &sub)
                         .expect("feature extraction on rendered audio")
                 })
                 .collect()

@@ -1,11 +1,12 @@
 //! Streaming wake pipeline — frame-by-frame processing with the early-exit
-//! gate, checked against the batch reference path.
+//! gate, checked against the batch path.
 //!
 //! Not a paper table: this experiment validates the repo's streaming
 //! engine (`headtalk::WakeStream`) at experiment scale. For every scenario
 //! it streams the capture twice (hop-aligned chunks and ragged 997-sample
 //! chunks) and demands the decision and feature vector be byte-identical
-//! to `HeadTalk::decide_batch` over the same audio; the report rows pin
+//! to `HeadTalk::decide_batch` — the same engine fed the whole capture as
+//! one chunk — over the same audio; the report rows pin
 //! frames analyzed, the advisory gate's early-exit frame, the verdict, and
 //! a bitwise feature checksum. Per-frame wall-clock latency is
 //! deliberately absent — hardware-dependent numbers live in the

@@ -1,7 +1,6 @@
-//! Orientation feature extraction (§III-B3).
+//! Orientation feature layout (§III-B3).
 //!
-//! From a raw multichannel capture the extractor produces one fixed-width
-//! feature vector composed of:
+//! One capture yields one fixed-width feature vector composed of:
 //!
 //! * **Speech reverberation** features — the frame-averaged weighted
 //!   SRP-PHAT curve's top peaks and statistical summary, plus for every
@@ -11,13 +10,11 @@
 //!   per-chunk (mean, RMS, std) statistics of the 100–400 Hz low band split
 //!   into 20 chunks, computed on the frame-averaged channel-mean spectrum.
 //!
-//! The extraction is *frame-based*: the capture is cut into the
-//! [`PipelineConfig::analysis_frame_geometry`] frames, each frame is
-//! analyzed by the streaming engine's [`FrameAnalyzer`], and the vector is
-//! assembled from the accumulated Welch-style evidence. This makes the
-//! batch extractor and the incremental `WakeStream::finalize` path one
-//! code path — the golden/property tests pin them bit-identical for any
-//! chunking and any `HT_THREADS`.
+//! The vector is assembled from evidence the streaming engine
+//! ([`crate::stream::EvidenceAccum`]) accumulates frame by frame at the
+//! [`PipelineConfig::analysis_frame_geometry`]. There is no separate batch
+//! extractor: [`HeadTalk::orientation_features`](crate::HeadTalk) is that
+//! engine fed the whole capture as one chunk.
 
 use crate::config::PipelineConfig;
 use crate::HeadTalkError;
@@ -40,81 +37,14 @@ pub fn feature_width(n_channels: usize, config: &PipelineConfig) -> usize {
     srp + gcc + directivity
 }
 
-/// Extracts the §III-B3 feature vector from raw channels by framing the
-/// capture with [`PipelineConfig::analysis_frame_geometry`] and running
-/// each frame through the streaming [`FrameAnalyzer`]. Any trailing
-/// samples past the last complete frame are ignored — the streaming
-/// engine holds the same partial frame back, which is one of the two
-/// facts behind incremental/batch bit-identity (the other: assembly reads
-/// only the accumulated evidence, never the audio).
-///
-/// # Errors
-///
-/// Returns [`HeadTalkError::InvalidInput`] for fewer than two channels,
-/// ragged channels, or a capture too short to hold one complete analysis
-/// frame.
-pub fn extract(channels: &[Vec<f64>], config: &PipelineConfig) -> Result<Vec<f64>, HeadTalkError> {
-    if channels.len() < 2 {
-        return Err(HeadTalkError::InvalidInput(format!(
-            "orientation features need at least 2 channels, got {}",
-            channels.len()
-        )));
-    }
-    let len = channels[0].len();
-    if channels.iter().any(|c| c.len() != len) {
-        return Err(HeadTalkError::InvalidInput(
-            "all channels must share one length".into(),
-        ));
-    }
-    let (frame_len, hop) = config.analysis_frame_geometry();
-    if len < frame_len {
-        return Err(HeadTalkError::InvalidInput(format!(
-            "capture too short for fixed-width features: {len}-sample \
-             channels hold no complete {frame_len}-sample analysis frame"
-        )));
-    }
-
-    let mut analyzer = FrameAnalyzer::new(
-        channels.len(),
-        frame_len,
-        config.max_lag,
-        config.sample_rate,
-    )
-    .map_err(stream_error)?;
-    let mut dir = DirectivityAccum::new(
-        channels.len(),
-        config.directivity_segment_len(),
-        config.sample_rate,
-    )
-    .map_err(stream_error)?;
-    let refs: Vec<&[f64]> = channels.iter().map(|c| c.as_slice()).collect();
-    dir.push(&refs).map_err(stream_error)?;
-    let mut frame: Vec<Vec<f64>> = vec![vec![0.0; frame_len]; channels.len()];
-    let mut start = 0;
-    while start + frame_len <= len {
-        for (dst, c) in frame.iter_mut().zip(channels) {
-            dst.copy_from_slice(&c[start..start + frame_len]);
-        }
-        analyzer.analyze(&frame).map_err(stream_error)?;
-        start += hop;
-    }
-
-    let mut features = Vec::with_capacity(feature_width(channels.len(), config));
-    assemble_into(&mut analyzer, &mut dir, config, &mut features)?;
-    Ok(features)
-}
-
 /// Assembles the feature vector from the accumulated evidence — the
 /// analyzer's SRP/GCC sums followed by the directivity accumulator's
-/// averaged spectrum — translating streaming-layer errors into the
-/// pipeline's error type. This is the one assembly call both the batch
-/// extractor above and the incremental `WakeStream` finalize path go
-/// through, which is what makes their features structurally bit-identical.
+/// averaged spectrum.
 ///
 /// # Errors
 ///
-/// Returns [`HeadTalkError::InvalidInput`] when no complete frame has been
-/// analyzed (capture shorter than one frame).
+/// Returns [`HeadTalkError::Stream`] with [`StreamError::NoFrames`] when
+/// no complete frame has been analyzed (capture shorter than one frame).
 pub(crate) fn assemble_into(
     analyzer: &mut FrameAnalyzer,
     dir: &mut DirectivityAccum,
@@ -122,37 +52,27 @@ pub(crate) fn assemble_into(
     out: &mut Vec<f64>,
 ) -> Result<(), HeadTalkError> {
     let _span = ht_obs::span("wake.feature_extract");
-    analyzer
-        .assemble_features_into(config.srp_peaks, out)
-        .map_err(stream_error)?;
+    analyzer.assemble_features_into(config.srp_peaks, out)?;
     // ≥1 analyzed frame implies ≥frame_len pushed samples, so the
     // accumulator always has a spectrum here.
-    let spec = dir.flush_spectrum().ok_or_else(|| {
-        HeadTalkError::InvalidInput("no directivity evidence accumulated: capture is empty".into())
-    })?;
+    let spec = dir.flush_spectrum().ok_or(StreamError::NoFrames)?;
     out.push(spectrum::hlbr(spec));
     spectrum::push_low_band_chunk_stats(spec, config.low_band_chunks, out);
     Ok(())
 }
 
-/// Maps a streaming-layer error onto the pipeline's error type, keeping
-/// the user-facing "capture too short" phrasing for the no-frames case.
-fn stream_error(e: StreamError) -> HeadTalkError {
-    match e {
-        StreamError::NoFrames => HeadTalkError::InvalidInput(
-            "capture too short for fixed-width features: no complete \
-             analysis frame was accumulated"
-                .into(),
-        ),
-        other => HeadTalkError::InvalidInput(other.to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::EvidenceAccum;
+    use crate::HeadTalk;
     use ht_dsp::rng::SeedableRng;
     use ht_dsp::signal::fractional_delay;
+    use ht_dsp::QuantMode;
+
+    fn extract(channels: &[Vec<f64>], cfg: &PipelineConfig) -> Result<Vec<f64>, HeadTalkError> {
+        HeadTalk::orientation_features(cfg, channels)
+    }
 
     fn test_channels(n: usize, len: usize) -> Vec<Vec<f64>> {
         let mut rng = ht_dsp::rng::StdRng::seed_from_u64(1);
@@ -197,7 +117,10 @@ mod tests {
     fn single_channel_is_rejected() {
         let cfg = PipelineConfig::default();
         let ch = test_channels(1, 1024);
-        assert!(extract(&ch, &cfg).is_err());
+        assert!(matches!(
+            extract(&ch, &cfg),
+            Err(HeadTalkError::Stream(StreamError::BadGeometry(_)))
+        ));
     }
 
     #[test]
@@ -217,9 +140,16 @@ mod tests {
 
     #[test]
     fn silence_produces_finite_features() {
+        // Silence has no liveness input (zero variance), so the public
+        // entry points refuse it; the feature half alone must still be
+        // finite.
         let cfg = PipelineConfig::default();
         let ch = vec![vec![0.0; 1024], vec![0.0; 1024]];
-        let f = extract(&ch, &cfg).unwrap();
+        let mut accum =
+            EvidenceAccum::whole_capture(&cfg, &ch, QuantMode::Reference, cfg.liveness_input_len)
+                .unwrap();
+        let f = accum.assemble_features().unwrap();
+        assert_eq!(f.len(), feature_width(2, &cfg));
         assert!(f.iter().all(|v| v.is_finite()));
     }
 }

@@ -1,13 +1,17 @@
 //! The end-to-end HeadTalk pipeline (Fig. 2): preprocessing → liveness →
 //! orientation → accept/soft-mute decision.
+//!
+//! Every entry point here that takes audio runs the streaming engine
+//! ([`crate::stream`]) fed the whole capture as one chunk, so batch
+//! decisions, training vectors and served decisions share one code path.
 
 use crate::config::PipelineConfig;
 use crate::features;
-use crate::liveness::{prepare_decimated, LivenessDetector, LIVE_HUMAN};
+use crate::liveness::{LivenessDetector, LIVE_HUMAN};
 use crate::orientation::OrientationDetector;
 use crate::preprocess::Preprocessor;
+use crate::stream::EvidenceAccum;
 use crate::HeadTalkError;
-use ht_dsp::resample::to_16k_from_48k;
 use ht_dsp::QuantMode;
 
 /// The pipeline's verdict on one wake-word capture.
@@ -33,12 +37,11 @@ impl WakeDecision {
     }
 }
 
-/// The assembled HeadTalk system: preprocessor + liveness detector +
+/// The assembled HeadTalk system: configuration + liveness detector +
 /// orientation detector.
 #[derive(Debug, Clone)]
 pub struct HeadTalk {
     config: PipelineConfig,
-    preprocessor: Preprocessor,
     liveness: LivenessDetector,
     orientation: OrientationDetector,
     /// Which inference backend the decision path runs. Defaults to the
@@ -59,10 +62,11 @@ impl HeadTalk {
         liveness: LivenessDetector,
         orientation: OrientationDetector,
     ) -> Result<HeadTalk, HeadTalkError> {
-        let preprocessor = Preprocessor::new(&config)?;
+        // Every accumulator designs this band-pass from the config; reject
+        // corners it cannot realize here, once.
+        Preprocessor::new(&config)?;
         Ok(HeadTalk {
             config,
-            preprocessor,
             liveness,
             orientation,
             quant: QuantMode::Reference,
@@ -100,17 +104,18 @@ impl HeadTalk {
     }
 
     /// Calibrates the int8 backends offline from raw training captures and
-    /// switches the pipeline to [`QuantMode::Int8`]: each capture is pushed
-    /// through the same preprocessing as inference (feature extraction for
-    /// the orientation SVM, causal band-pass → 16 kHz → z-score for the
-    /// liveness net) and the observed activation ranges fix the static
-    /// per-layer scales. The f64 models are untouched and stay selectable
-    /// via [`set_quant_mode`](HeadTalk::set_quant_mode).
+    /// switches the pipeline to [`QuantMode::Int8`]: each capture runs
+    /// through the engine exactly as [`decide_batch`](HeadTalk::decide_batch)
+    /// runs it, and the observed ranges of the assembled features and
+    /// liveness inputs fix the static per-layer scales. The f64 models are
+    /// untouched and stay selectable via
+    /// [`set_quant_mode`](HeadTalk::set_quant_mode).
     ///
     /// # Errors
     ///
-    /// Returns [`HeadTalkError::InvalidInput`] for an empty calibration set
-    /// or degenerate captures, and propagates model errors.
+    /// Returns [`HeadTalkError::InvalidInput`] for an empty calibration set,
+    /// the errors of [`decide_batch`](HeadTalk::decide_batch) for a
+    /// degenerate capture, and propagates model errors.
     pub fn enable_int8(&mut self, captures: &[Vec<Vec<f64>>]) -> Result<(), HeadTalkError> {
         if captures.is_empty() {
             return Err(HeadTalkError::InvalidInput(
@@ -120,16 +125,10 @@ impl HeadTalk {
         let mut liveness_calib = Vec::with_capacity(captures.len());
         let mut feature_calib = Vec::with_capacity(captures.len());
         for channels in captures {
-            if channels.is_empty() || channels[0].is_empty() {
-                return Err(HeadTalkError::InvalidInput(
-                    "calibration capture must have at least one non-empty channel".into(),
-                ));
-            }
-            self.validate_feature_width(channels.len())?;
-            feature_calib.push(features::extract(channels, &self.config)?);
-            let filtered = self.preprocessor.filter_causal(&channels[0]);
-            let x16k = to_16k_from_48k(&filtered)?;
-            liveness_calib.push(prepare_decimated(&x16k, self.liveness.input_len())?);
+            let mut accum = self.whole_capture(channels)?;
+            let ev = accum.assemble()?;
+            feature_calib.push(ev.features.to_vec());
+            liveness_calib.push(ev.liveness_input.to_vec());
         }
         let liv: Vec<&[f64]> = liveness_calib.iter().map(Vec::as_slice).collect();
         let feat: Vec<&[f64]> = feature_calib.iter().map(Vec::as_slice).collect();
@@ -157,128 +156,73 @@ impl HeadTalk {
     }
 
     /// Processes one multichannel wake-word capture (raw 48 kHz channels)
-    /// and returns the accept/soft-mute decision.
-    ///
-    /// This is a thin batch adapter over the streaming engine
-    /// ([`crate::stream::WakeStream`]): the capture is fed hop-sized chunk
-    /// by chunk — exercising the exact ingest → frame → gate path a live
-    /// microphone would — and then finalized, which assembles the decision
-    /// evidence from the stream's accumulated statistics in O(features).
-    /// The returned decision is bit-identical to calling
-    /// [`decide_batch`](HeadTalk::decide_batch) directly (the stream's
-    /// advisory gate never alters it); the golden tests pin this
-    /// equivalence.
+    /// and returns the accept/soft-mute decision:
+    /// [`decide_batch`](HeadTalk::decide_batch) without the feature vector.
     ///
     /// Liveness runs on a single channel (the paper: "we needed one channel
     /// of audio data to detect liveliness and 4-channel audio data to detect
     /// speaker orientation", §IV-B15); orientation runs on all channels.
     ///
-    /// Each stage runs under an `ht_obs` span (per-frame
-    /// `stream.ingest/stft/srp/score/gate`, then the batch `wake.denoise`,
-    /// `wake.liveness_prepare`, `wake.liveness_infer`,
-    /// `wake.feature_extract`, `wake.orientation_infer`), so with `HT_OBS`
-    /// enabled both the per-frame latency histograms and the per-stage
-    /// breakdown of §IV-B15 fall out of the registry. With `HT_OBS=off`
-    /// the spans cost an atomic load each.
-    ///
     /// # Errors
     ///
-    /// Returns [`HeadTalkError::InvalidInput`] for empty, mismatched,
-    /// silent/DC-only captures, or a channel count whose feature width does
-    /// not match the width the orientation model was trained on.
+    /// As for [`decide_batch`](HeadTalk::decide_batch).
     pub fn process_wake(&self, channels: &[Vec<f64>]) -> Result<WakeDecision, HeadTalkError> {
-        let _wake = ht_obs::span("wake.process");
-        // The same up-front shape validation the batch path performs, so
-        // the adapter reports identical errors for degenerate captures.
-        if channels.is_empty() || channels[0].is_empty() {
-            return Err(HeadTalkError::InvalidInput(
-                "capture must have at least one non-empty channel".into(),
-            ));
-        }
-        let len = channels[0].len();
-        if channels.iter().any(|c| c.len() != len) {
-            return Err(HeadTalkError::InvalidInput(
-                "all channels must share one length".into(),
-            ));
-        }
-        let stream_config = crate::stream::StreamConfig {
-            capacity_hint: len,
-            ..crate::stream::StreamConfig::for_pipeline(&self.config)
-        };
-        let mut stream = self.streamer_with(channels.len(), stream_config)?;
-        let hop = stream.hop();
-        let mut chunk: Vec<&[f64]> = Vec::with_capacity(channels.len());
-        let mut pos = 0;
-        while pos < len {
-            let end = (pos + hop).min(len);
-            chunk.clear();
-            chunk.extend(channels.iter().map(|c| &c[pos..end]));
-            stream.push(&chunk)?;
-            pos = end;
-        }
-        let outcome = stream.finalize()?;
-        Ok(outcome
-            .decision
-            .expect("advisory streaming always carries the batch decision"))
+        Ok(self.decide_batch(channels)?.0)
     }
 
-    /// The reference batch analysis: extract the frame-averaged orientation
-    /// features from the raw capture, prepare the causally-filtered liveness
-    /// input, run both trained models, and return the decision together with
-    /// the orientation feature vector it was based on. Every stage here is a
-    /// whole-capture view of an *incrementally computable* operation —
-    /// frame-accumulated feature statistics, a causal (single-pass) band-pass
-    /// plus streaming decimation for liveness — which is exactly why the
-    /// streaming engine's finalize path can produce the same bits without
-    /// revisiting the audio. The golden/property tests pin the two paths
-    /// bit-identical for any chunking at any `HT_THREADS`.
+    /// Decides one whole capture and returns the decision together with the
+    /// orientation feature vector it was based on. This is the streaming
+    /// engine fed the capture as one chunk at the pipeline's analysis
+    /// geometry, then assembled and scored: the same route, and the same
+    /// bits, as a [`WakeStream`](crate::WakeStream) fed the capture in any
+    /// chunking and finalized.
+    ///
+    /// Each stage runs under an `ht_obs` span (`wake.process` around the
+    /// call; per-frame `stream.ingest/frame/score/gate`; then
+    /// `wake.feature_extract`, `wake.liveness_prepare`,
+    /// `wake.liveness_infer` and `wake.orientation_infer`), so with
+    /// `HT_OBS` enabled the per-stage breakdown of §IV-B15 falls out of the
+    /// registry. With `HT_OBS=off` the spans cost an atomic load each.
     ///
     /// # Errors
     ///
-    /// Returns [`HeadTalkError::InvalidInput`] as documented on
-    /// [`process_wake`](HeadTalk::process_wake).
+    /// [`HeadTalkError::Stream`] for fewer than two channels
+    /// ([`StreamError::BadGeometry`](crate::stream::StreamError)), ragged
+    /// channels, or a capture shorter than one analysis frame
+    /// ([`StreamError::NoFrames`](crate::stream::StreamError));
+    /// [`HeadTalkError::InvalidInput`] for silent or DC-only audio and for
+    /// a channel count whose feature width differs from the width the
+    /// orientation model was trained on.
     pub fn decide_batch(
         &self,
         channels: &[Vec<f64>],
     ) -> Result<(WakeDecision, Vec<f64>), HeadTalkError> {
-        if channels.is_empty() || channels[0].is_empty() {
-            return Err(HeadTalkError::InvalidInput(
-                "capture must have at least one non-empty channel".into(),
-            ));
-        }
-        let len = channels[0].len();
-        if channels.iter().any(|c| c.len() != len) {
-            return Err(HeadTalkError::InvalidInput(
-                "all channels must share one length".into(),
-            ));
-        }
+        let _wake = ht_obs::span("wake.process");
+        let mut accum = self.whole_capture(channels)?;
+        let ev = accum.assemble()?;
+        Ok((
+            self.infer_assembled(ev.features, ev.liveness_input),
+            ev.features.to_vec(),
+        ))
+    }
+
+    /// The engine fed `channels` as one chunk, with this pipeline's kernel
+    /// selection and liveness width, after the feature-width check.
+    fn whole_capture(&self, channels: &[Vec<f64>]) -> Result<EvidenceAccum, HeadTalkError> {
+        let accum = EvidenceAccum::whole_capture(
+            &self.config,
+            channels,
+            self.quant,
+            self.liveness.input_len(),
+        )?;
         self.validate_feature_width(channels.len())?;
-
-        // Orientation on the raw array: the frame analyzer whitens each
-        // pair's cross-spectrum (PHAT), so a pre-filter would only reshape
-        // the phase evidence the TDoA features are built from.
-        let fv = features::extract(channels, &self.config)?;
-
-        // Liveness on channel 0: causal band-pass (incrementally computable,
-        // unlike the zero-phase filtfilt) -> 16 kHz -> fixed-width z-scored
-        // window.
-        let filtered = {
-            let _s = ht_obs::span("wake.denoise");
-            self.preprocessor.filter_causal(&channels[0])
-        };
-        let x16k = to_16k_from_48k(&filtered)?;
-        let prepared = prepare_decimated(&x16k, self.liveness.input_len())?;
-
-        Ok((self.infer_assembled(&fv, &prepared), fv))
+        Ok(accum)
     }
 
     /// Runs the trained models over already-assembled evidence: the
     /// fixed-width orientation feature vector and the prepared liveness
-    /// input. This is the O(models) tail of the decision path — the
-    /// streaming engine calls it at finalize time with evidence it
-    /// accumulated frame by frame, and `decide_batch` calls it with the
-    /// same bits computed in one pass, so the two paths cannot diverge
-    /// after assembly.
+    /// input. This is the O(models) tail of every decision: the streaming
+    /// engine calls it on the evidence it assembled.
     pub fn infer_assembled(&self, features: &[f64], liveness_input: &[f64]) -> WakeDecision {
         let (live_probability, live) = {
             let _s = ht_obs::span("wake.liveness_infer");
@@ -300,11 +244,6 @@ impl HeadTalk {
             facing,
             facing_score,
         }
-    }
-
-    /// The preprocessor, for the streaming engine's causal liveness branch.
-    pub(crate) fn preprocessor(&self) -> &Preprocessor {
-        &self.preprocessor
     }
 
     /// The liveness model's fixed input width in 16 kHz samples.
@@ -329,43 +268,49 @@ impl HeadTalk {
         Ok(())
     }
 
-    /// Extracts the orientation feature vector from a raw capture (used by
-    /// the dataset builders so training and inference share one code path —
-    /// this is exactly the feature view `decide_batch` scores).
+    /// The orientation feature vector of a raw capture, as
+    /// [`decide_batch`](HeadTalk::decide_batch) scores it under
+    /// [`QuantMode::Reference`]. The dataset builders train on this, so
+    /// training and inference share one code path.
     ///
     /// # Errors
     ///
-    /// Propagates feature-extraction errors.
+    /// As for [`decide_batch`](HeadTalk::decide_batch), less the
+    /// model-width check (there is no model here).
     pub fn orientation_features(
         config: &PipelineConfig,
         channels: &[Vec<f64>],
     ) -> Result<Vec<f64>, HeadTalkError> {
-        features::extract(channels, config)
+        let _span = ht_obs::span("wake.orientation_features");
+        let mut accum = EvidenceAccum::whole_capture(
+            config,
+            channels,
+            QuantMode::Reference,
+            config.liveness_input_len,
+        )?;
+        Ok(accum.assemble()?.features.to_vec())
     }
 
-    /// Prepares the liveness input from a raw capture (shared by training
-    /// and inference): causal band-pass on channel 0, decimate to 16 kHz,
-    /// crop/pad and z-score.
+    /// The prepared liveness input of a raw capture (causal band-pass on
+    /// channel 0, decimated to 16 kHz, cropped or padded and z-scored), as
+    /// [`decide_batch`](HeadTalk::decide_batch) scores it. Shared by
+    /// training and inference.
     ///
     /// # Errors
     ///
-    /// Propagates preprocessing errors; rejects empty or silent captures.
+    /// As for [`orientation_features`](HeadTalk::orientation_features).
     pub fn liveness_input(
         config: &PipelineConfig,
         channels: &[Vec<f64>],
     ) -> Result<Vec<f64>, HeadTalkError> {
-        if channels.is_empty() || channels[0].is_empty() {
-            return Err(HeadTalkError::InvalidInput(
-                "capture must have at least one non-empty channel".into(),
-            ));
-        }
-        let pre = Preprocessor::new(config)?;
-        let filtered = {
-            let _s = ht_obs::span("wake.denoise");
-            pre.filter_causal(&channels[0])
-        };
-        let x16k = to_16k_from_48k(&filtered)?;
-        prepare_decimated(&x16k, config.liveness_input_len)
+        let _span = ht_obs::span("wake.liveness_input");
+        let mut accum = EvidenceAccum::whole_capture(
+            config,
+            channels,
+            QuantMode::Reference,
+            config.liveness_input_len,
+        )?;
+        Ok(accum.assemble()?.liveness_input.to_vec())
     }
 }
 

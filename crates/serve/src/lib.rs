@@ -18,8 +18,7 @@
 //!   sessions, serial admission, shard-parallel ragged-chunk
 //!   interleavings, all byte-identical for a `(seed, scenario set)` pair
 //!   at any `HT_THREADS` (the interleaving property suite pins this
-//!   against solo batch [`process_wake`](headtalk::HeadTalk::process_wake)
-//!   results).
+//!   against [`decide_batch`](headtalk::HeadTalk::decide_batch) results).
 //!
 //! The `ht_loadgen` binary drives [`run_load`] from the command line; the
 //! `server_throughput` bench gates sustained decisions/sec and tail

@@ -10,10 +10,16 @@
 //! cap — both produce typed [`RejectReason`]s instead of unbounded queues.
 //!
 //! Determinism contract: the server itself never reads a clock or an RNG.
-//! Every entry point takes a logical `now_ns`, every per-session result is
-//! produced by the same `WakeStream` → `decide_batch` path as solo batch
-//! processing, and the arena reuse is invisible to results (a reset slot
-//! is byte-identical to a fresh one — pinned by the interleaving suite).
+//! Every entry point takes a logical `now_ns`, and every per-session result
+//! comes from the one streaming engine that
+//! [`HeadTalk::decide_batch`](headtalk::HeadTalk::decide_batch) also runs:
+//! the server holds no decision rule of its own. Single finalize takes the
+//! slot's [`WakeStream::outcome`](headtalk::WakeStream::outcome); batched
+//! finalize concludes each slot
+//! ([`conclude`](headtalk::stream::EvidenceAccum::conclude)) under its
+//! shard lock and decides ([`Concluded::decide`]) after releasing it. Arena
+//! reuse is invisible to results (a reset slot is byte-identical to a
+//! fresh one — pinned by the interleaving suite).
 //!
 //! Failure policy: a mid-stream geometry violation (channel count change,
 //! ragged chunk) is not survivable for that session — the stream's state
@@ -26,7 +32,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use headtalk::stream::{StreamOutcome, WakeVerdict};
+use headtalk::stream::{Concluded, StreamOutcome, WakeVerdict};
 use headtalk::{HeadTalk, HeadTalkError, PipelineConfig, StreamConfig};
 use ht_stream::StreamError;
 
@@ -152,6 +158,40 @@ struct Session {
 struct Shard<'ht> {
     arena: ShardArena<'ht>,
     sessions: BTreeMap<u64, Session>,
+}
+
+impl Shard<'_> {
+    /// The slot of open session `id`, marked active at `now_ns`.
+    fn touch(&mut self, id: u64, now_ns: u64) -> Result<usize, ServeError> {
+        let session = self
+            .sessions
+            .get_mut(&id)
+            .ok_or(ServeError::UnknownSession(id))?;
+        session.last_active_ns = now_ns;
+        Ok(session.slot)
+    }
+
+    /// Closes session `id` and recycles its slot once it has concluded; an
+    /// undecidable session stays open for a retry with more audio.
+    fn settle<T>(
+        &mut self,
+        id: u64,
+        slot: usize,
+        concluded: Result<T, HeadTalkError>,
+    ) -> Result<T, ServeError> {
+        match concluded {
+            Ok(v) => {
+                self.sessions.remove(&id);
+                self.arena.release(slot);
+                ht_obs::counter_add("serve.decisions", 1);
+                Ok(v)
+            }
+            Err(e) => {
+                ht_obs::counter_add("serve.finalize_retry", 1);
+                Err(ServeError::Pipeline(e))
+            }
+        }
+    }
 }
 
 /// Per-shard load numbers from [`WakeServer::stats`].
@@ -343,13 +383,7 @@ impl<'ht> WakeServer<'ht> {
     pub fn push(&self, id: u64, chunk: &[&[f64]], now_ns: u64) -> Result<WakeVerdict, ServeError> {
         let _span = ht_obs::span("serve.push");
         let mut shard = self.lock_shard(self.shard_of(id))?;
-        let slot = match shard.sessions.get_mut(&id) {
-            Some(session) => {
-                session.last_active_ns = now_ns;
-                session.slot
-            }
-            None => return Err(ServeError::UnknownSession(id)),
-        };
+        let slot = shard.touch(id, now_ns)?;
         match shard.arena.slot_mut(slot).push(chunk) {
             Ok(verdict) => Ok(verdict),
             Err(e) => {
@@ -389,25 +423,9 @@ impl<'ht> WakeServer<'ht> {
     pub fn finalize(&self, id: u64, now_ns: u64) -> Result<StreamOutcome, ServeError> {
         let _span = ht_obs::span("serve.decision");
         let mut shard = self.lock_shard(self.shard_of(id))?;
-        let slot = match shard.sessions.get_mut(&id) {
-            Some(session) => {
-                session.last_active_ns = now_ns;
-                session.slot
-            }
-            None => return Err(ServeError::UnknownSession(id)),
-        };
-        match shard.arena.slot_mut(slot).outcome() {
-            Ok(o) => {
-                shard.sessions.remove(&id);
-                shard.arena.release(slot);
-                ht_obs::counter_add("serve.decisions", 1);
-                Ok(o)
-            }
-            Err(e) => {
-                ht_obs::counter_add("serve.finalize_retry", 1);
-                Err(ServeError::Pipeline(e))
-            }
-        }
+        let slot = shard.touch(id, now_ns)?;
+        let outcome = shard.arena.slot_mut(slot).outcome();
+        shard.settle(id, slot, outcome)
     }
 
     /// Closes a session without deciding, releasing its slot. The explicit
@@ -436,145 +454,30 @@ impl<'ht> WakeServer<'ht> {
     /// `ht-par` pool.
     ///
     /// Every involved shard is locked (in ascending index order — the
-    /// fixed order, so the server cannot deadlock against itself), the
-    /// batch's sessions are staged, and **assembly itself runs as one
-    /// per-session task fan-out** over disjoint slot borrows: the
-    /// remaining FFT/accumulator work of a finalize wave overlaps across
-    /// pool workers instead of serializing under one shard lock at a
-    /// time. The locks are dropped before any model runs, so inference
-    /// for sessions of *one* shard parallelizes too, which
-    /// single-session [`finalize`](WakeServer::finalize) under the shard
-    /// lock cannot do. Results come back in input order with per-session
-    /// errors: an undecidable session stays open (retryable, marked
-    /// active at `now_ns`) exactly as in single finalize, and never
-    /// blocks its batch neighbours. Outcomes are byte-identical to
-    /// calling [`finalize`](WakeServer::finalize) per id, at any
-    /// `HT_THREADS`.
+    /// fixed order, so the server cannot deadlock against itself), and
+    /// each staged session is **concluded as its own pool task** over
+    /// disjoint slot borrows
+    /// ([`EvidenceAccum::conclude`](headtalk::stream::EvidenceAccum::conclude)
+    /// copies its assembled evidence out), so the remaining FFT and
+    /// accumulator work of a finalize wave overlaps across workers instead
+    /// of serializing under one shard lock at a time. The locks are
+    /// dropped before any model runs ([`Concluded::decide`]), so inference
+    /// for sessions of *one* shard parallelizes too, which single-session
+    /// [`finalize`](WakeServer::finalize) under the shard lock cannot do.
+    /// Results come back in input order with per-session errors: an
+    /// undecidable session stays open (retryable, marked active at
+    /// `now_ns`) exactly as in single finalize, and never blocks its batch
+    /// neighbours. Outcomes are byte-identical to calling
+    /// [`finalize`](WakeServer::finalize) per id, at any `HT_THREADS`.
     pub fn finalize_batch(
         &self,
         ids: &[u64],
         now_ns: u64,
     ) -> Vec<(u64, Result<StreamOutcome, ServeError>)> {
-        /// Evidence cloned out of a slot, ready for lock-free inference.
-        struct Pack {
-            pos: usize,
-            id: u64,
-            features: Vec<f64>,
-            liveness: Vec<f64>,
-            muted: bool,
-            early_exit: Option<headtalk::stream::EarlyExit>,
-            frames: u64,
-            samples_per_channel: usize,
-        }
-
-        /// One session's assembly result, produced without touching any
-        /// shard bookkeeping so the tasks can run in parallel.
-        enum Assembled {
-            Ready {
-                features: Vec<f64>,
-                liveness: Vec<f64>,
-                muted: bool,
-                early_exit: Option<headtalk::stream::EarlyExit>,
-                frames: u64,
-                samples_per_channel: usize,
-            },
-            /// Same contract as `WakeStream::outcome`: the gate already
-            /// muted the stream, so an undecidable capture is a decision,
-            /// not an error.
-            Muted {
-                early_exit: Option<headtalk::stream::EarlyExit>,
-                frames: u64,
-                samples_per_channel: usize,
-            },
-            Retry(HeadTalkError),
-        }
-
-        /// Assembles one session's evidence. Clones the evidence out
-        /// eagerly so the borrow from `assemble` ends before the error
-        /// arms inspect the stream.
-        fn assemble_session(stream: &mut headtalk::WakeStream<'_>) -> Assembled {
-            let assembled = {
-                let _span = ht_obs::span("serve.assemble");
-                stream
-                    .assemble()
-                    .map(|ev| (ev.features.to_vec(), ev.liveness_input.to_vec()))
-            };
-            match assembled {
-                Ok((features, liveness)) => Assembled::Ready {
-                    features,
-                    liveness,
-                    muted: stream.is_muted(),
-                    early_exit: stream.early_exit(),
-                    frames: stream.frames(),
-                    samples_per_channel: stream.samples_per_channel(),
-                },
-                Err(_) if stream.is_muted() => Assembled::Muted {
-                    early_exit: stream.early_exit(),
-                    frames: stream.frames(),
-                    samples_per_channel: stream.samples_per_channel(),
-                },
-                Err(e) => Assembled::Retry(e),
-            }
-        }
-
-        /// Applies one assembly result to its shard's bookkeeping —
-        /// single-finalize semantics, in input order.
-        #[allow(clippy::too_many_arguments)]
-        fn apply<'ht>(
-            shard: &mut Shard<'ht>,
-            outcome: Assembled,
-            pos: usize,
-            id: u64,
-            slot: usize,
-            results: &mut [Option<(u64, Result<StreamOutcome, ServeError>)>],
-            packs: &mut Vec<Pack>,
-        ) {
-            match outcome {
-                Assembled::Ready {
-                    features,
-                    liveness,
-                    muted,
-                    early_exit,
-                    frames,
-                    samples_per_channel,
-                } => {
-                    shard.sessions.remove(&id);
-                    shard.arena.release(slot);
-                    ht_obs::counter_add("serve.decisions", 1);
-                    packs.push(Pack {
-                        pos,
-                        id,
-                        features,
-                        liveness,
-                        muted,
-                        early_exit,
-                        frames,
-                        samples_per_channel,
-                    });
-                }
-                Assembled::Muted {
-                    early_exit,
-                    frames,
-                    samples_per_channel,
-                } => {
-                    let outcome = StreamOutcome {
-                        verdict: WakeVerdict::SoftMute,
-                        decision: None,
-                        features: Vec::new(),
-                        early_exit,
-                        frames,
-                        samples_per_channel,
-                    };
-                    shard.sessions.remove(&id);
-                    shard.arena.release(slot);
-                    ht_obs::counter_add("serve.decisions", 1);
-                    results[pos] = Some((id, Ok(outcome)));
-                }
-                Assembled::Retry(e) => {
-                    ht_obs::counter_add("serve.finalize_retry", 1);
-                    results[pos] = Some((id, Err(ServeError::Pipeline(e))));
-                }
-            }
+        /// Concludes one session's stream under the serve.assemble span.
+        fn conclude(stream: &mut headtalk::WakeStream<'_>) -> Result<Concluded, HeadTalkError> {
+            let _span = ht_obs::span("serve.assemble");
+            stream.conclude()
         }
 
         let mut results: Vec<Option<(u64, Result<StreamOutcome, ServeError>)>> =
@@ -585,7 +488,7 @@ impl<'ht> WakeServer<'ht> {
         }
 
         // Phase 1a: lock every involved shard, validate its batch members
-        // against the session map, and stage one assemble job per live
+        // against the session map, and stage one conclude job per live
         // session. A wrecked shard fails only its own members; the batch
         // neighbours on healthy shards still decide.
         let mut guards: Vec<std::sync::MutexGuard<'_, Shard<'ht>>> = Vec::new();
@@ -618,26 +521,23 @@ impl<'ht> WakeServer<'ht> {
                     dups.push((guard_pos, pos, id));
                     continue;
                 }
-                match shard.sessions.get_mut(&id) {
-                    Some(session) => {
-                        session.last_active_ns = now_ns;
+                match shard.touch(id, now_ns) {
+                    Ok(slot) => {
                         claimed.push(id);
-                        jobs.push((guard_pos, pos, id, session.slot));
+                        jobs.push((guard_pos, pos, id, slot));
                     }
-                    None => {
-                        results[pos] = Some((id, Err(ServeError::UnknownSession(id))));
-                    }
+                    Err(e) => results[pos] = Some((id, Err(e))),
                 }
             }
             guards.push(shard);
         }
 
-        // Phase 1b: assemble every staged session in parallel through
+        // Phase 1b: conclude every staged session in parallel through
         // disjoint slot borrows. Jobs sort by (guard, slot) so each
         // arena's borrow splits cleanly; `par_map` preserves order, so
-        // `assembled[i]` belongs to `jobs[i]`.
+        // `concluded[i]` belongs to `jobs[i]`.
         jobs.sort_by_key(|&(guard, _, _, slot)| (guard, slot));
-        let assembled: Vec<Assembled> = {
+        let concluded: Vec<Result<Concluded, HeadTalkError>> = {
             let mut tasks: Vec<Mutex<&mut headtalk::WakeStream<'ht>>> =
                 Vec::with_capacity(jobs.len());
             let mut job_iter = jobs.iter().peekable();
@@ -655,68 +555,41 @@ impl<'ht> WakeServer<'ht> {
                 }
             }
             ht_par::par_map(&tasks, |task| {
-                let mut stream = task.lock().expect("assemble task lock");
-                assemble_session(&mut stream)
+                conclude(&mut task.lock().expect("conclude task lock"))
             })
         };
 
-        // Phase 1c: apply the results to the shard bookkeeping in job
-        // order, then resolve repeated ids serially — a retryable first
-        // occurrence leaves the session open, so its repeat re-assembles
-        // (hitting the cached directivity flush) exactly as two serial
-        // finalize calls would.
-        let mut packs: Vec<Pack> = Vec::with_capacity(jobs.len());
-        for (&(guard_pos, pos, id, slot), outcome) in jobs.iter().zip(assembled) {
-            apply(
-                &mut guards[guard_pos],
-                outcome,
-                pos,
-                id,
-                slot,
-                &mut results,
-                &mut packs,
-            );
+        // Phase 1c: settle the shard bookkeeping in job order, then
+        // resolve repeated ids serially — a retryable first occurrence
+        // leaves the session open, so its repeat re-assembles (hitting the
+        // cached directivity flush) exactly as two serial finalize calls
+        // would.
+        let mut pending: Vec<(usize, u64, Concluded)> = Vec::with_capacity(jobs.len());
+        let mut record = |pos: usize, id: u64, settled: Result<Concluded, ServeError>| match settled
+        {
+            Ok(c) => pending.push((pos, id, c)),
+            Err(e) => results[pos] = Some((id, Err(e))),
+        };
+        for (&(guard_pos, pos, id, slot), c) in jobs.iter().zip(concluded) {
+            record(pos, id, guards[guard_pos].settle(id, slot, c));
         }
         for (guard_pos, pos, id) in dups {
             let shard = &mut guards[guard_pos];
-            let slot = match shard.sessions.get_mut(&id) {
-                Some(session) => {
-                    session.last_active_ns = now_ns;
-                    session.slot
-                }
-                None => {
-                    results[pos] = Some((id, Err(ServeError::UnknownSession(id))));
-                    continue;
-                }
-            };
-            let outcome = assemble_session(shard.arena.slot_mut(slot));
-            apply(shard, outcome, pos, id, slot, &mut results, &mut packs);
+            let settled = shard.touch(id, now_ns).and_then(|slot| {
+                let c = conclude(shard.arena.slot_mut(slot));
+                shard.settle(id, slot, c)
+            });
+            record(pos, id, settled);
         }
         drop(guards);
 
         // Phase 2: model inference across sessions, outside every lock.
-        let inferred: Vec<(usize, u64, StreamOutcome)> = ht_par::par_map(&packs, |pack| {
-            let _span = ht_obs::span("serve.decision");
-            let decision = self.ht.infer_assembled(&pack.features, &pack.liveness);
-            let verdict = if pack.muted || !decision.accepted() {
-                WakeVerdict::SoftMute
-            } else {
-                WakeVerdict::Allow
-            };
-            (
-                pack.pos,
-                pack.id,
-                StreamOutcome {
-                    verdict,
-                    decision: Some(decision),
-                    features: pack.features.clone(),
-                    early_exit: pack.early_exit,
-                    frames: pack.frames,
-                    samples_per_channel: pack.samples_per_channel,
-                },
-            )
-        });
-        for (pos, id, outcome) in inferred {
+        let decided: Vec<(usize, u64, StreamOutcome)> =
+            ht_par::par_map(&pending, |(pos, id, c)| {
+                let _span = ht_obs::span("serve.decision");
+                (*pos, *id, c.decide(self.ht))
+            });
+        for (pos, id, outcome) in decided {
             results[pos] = Some((id, Ok(outcome)));
         }
         // Every position was filled in phase 1 or phase 2; if one ever
@@ -1300,10 +1173,11 @@ mod tests {
 
     #[test]
     fn int8_pipeline_serves_with_batch_single_and_solo_agreement() {
-        // The server inherits the pipeline's quantization mode through
-        // `infer_assembled`: an int8-calibrated pipeline must serve with
-        // the same bits whether a session is finalized solo, singly, or
-        // batched.
+        // The server inherits the pipeline's quantization mode — kernels
+        // and inference backends — through the one streaming engine: an
+        // int8-calibrated pipeline must produce the same decision *and
+        // feature* bits whether a capture is decided in one batch call,
+        // streamed solo, or served through single or batched finalize.
         let mut ht = toy_pipeline();
         let captures: Vec<Vec<Vec<f64>>> = (0..3)
             .map(|i| noise_capture(0x80 + i, 4, 4800 + 480 * i as usize))
@@ -1321,22 +1195,43 @@ mod tests {
             push_all(&batch, id, capture, 1);
         }
         for (id, result) in batch.finalize_batch(&[0, 1, 2], 2) {
+            let capture = &captures[id as usize];
             let b = result.expect("batch outcome");
             let s = single.finalize(id, 2).expect("single outcome");
-            let solo = ht.decide_batch(&captures[id as usize]).unwrap().0;
-            let (bd, sd) = (b.decision.unwrap(), s.decision.unwrap());
-            assert_eq!(
-                bd.live_probability.to_bits(),
-                sd.live_probability.to_bits(),
-                "session {id}: batch vs single live bits"
-            );
-            assert_eq!(
-                bd.live_probability.to_bits(),
-                solo.live_probability.to_bits(),
-                "session {id}: served vs solo live bits"
-            );
-            assert_eq!(bd.facing_score.to_bits(), sd.facing_score.to_bits());
-            assert_eq!(bd.facing_score.to_bits(), solo.facing_score.to_bits());
+            let (whole, whole_features) = ht.decide_batch(capture).unwrap();
+            let mut stream = ht.streamer(4).unwrap();
+            let hop = stream.hop();
+            for start in (0..capture[0].len()).step_by(hop) {
+                let end = (start + hop).min(capture[0].len());
+                let chunk: Vec<&[f64]> = capture.iter().map(|c| &c[start..end]).collect();
+                stream.push(&chunk).unwrap();
+            }
+            let solo = stream.finalize().unwrap();
+            let routes = [
+                ("batch", b.decision.unwrap(), &b.features),
+                ("single", s.decision.unwrap(), &s.features),
+                ("solo", solo.decision.unwrap(), &solo.features),
+            ];
+            for (route, d, features) in routes {
+                assert_eq!(
+                    d.live_probability.to_bits(),
+                    whole.live_probability.to_bits(),
+                    "session {id}: {route} vs decide_batch live bits"
+                );
+                assert_eq!(
+                    d.facing_score.to_bits(),
+                    whole.facing_score.to_bits(),
+                    "session {id}: {route} vs decide_batch facing bits"
+                );
+                assert_eq!(features.len(), whole_features.len());
+                for (k, (x, y)) in features.iter().zip(&whole_features).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "session {id}: {route} vs decide_batch feature {k}"
+                    );
+                }
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 //! through a [`WakeServer`] in arbitrarily interleaved, arbitrarily ragged
 //! chunk schedules must each produce an outcome **byte-identical** to
 //! running that session's capture alone through the batch path
-//! (`HeadTalk::decide_batch` — the same reference `process_wake` rides) —
+//! (`HeadTalk::decide_batch` — the same engine fed the capture as one chunk) —
 //! at `HT_THREADS=1` and `4`, with failing sessions interleaved in, with
 //! slots recycled between sessions. Plus the admission-control invariants:
 //! in-flight sessions never exceed capacity, and rejected or evicted

@@ -1,18 +1,23 @@
 //! The streaming determinism contract, pinned: feeding a capture through
 //! `WakeStream` chunk by chunk — hop-aligned, ragged, or one-shot — must
 //! produce a verdict and feature vector *byte-identical* to the batch path
-//! (`HeadTalk::decide_batch`), on every `ht-datagen` scenario, at any
-//! thread count, with observability on or off. Plus the typed rejection of
-//! mid-stream geometry changes and the enforcing gate's early soft-mute.
+//! (`HeadTalk::decide_batch`, the same engine fed one chunk) and to an
+//! independent whole-capture reference that never touches the engine
+//! ([`reference_evidence`]), on every `ht-datagen` scenario, under both
+//! kernel selections, at any thread count, with observability on or off.
+//! Plus the typed rejection of mid-stream geometry changes and the
+//! enforcing gate's early soft-mute.
 
 use headtalk::facing::FacingDefinition;
 use headtalk::liveness::LivenessDetector;
 use headtalk::orientation::{ModelKind, OrientationDetector};
+use headtalk::preprocess::Preprocessor;
 use headtalk::stream::{GateConfig, GateMode, StreamConfig, StreamError, WakeVerdict};
 use headtalk::{HeadTalk, HeadTalkError, PipelineConfig, StreamOutcome, WakeStream};
 use ht_datagen::{CaptureSpec, SourceKind};
 use ht_dsp::check::property;
 use ht_dsp::rng::SeedableRng;
+use ht_dsp::QuantMode;
 use ht_ml::Dataset;
 use ht_speech::replay::SpeakerModel;
 use ht_speech::voice::VoiceProfile;
@@ -78,6 +83,63 @@ fn build_pipeline() -> HeadTalk {
     }
     let liveness = LivenessDetector::fit(&live_ds, 16, 8).expect("liveness training");
     HeadTalk::new(config, liveness, orientation).expect("pipeline assembly")
+}
+
+/// The shared pipeline with its int8 backends calibrated on the scenario
+/// renders and active.
+fn int8_pipeline() -> &'static HeadTalk {
+    static PIPELINE: std::sync::OnceLock<HeadTalk> = std::sync::OnceLock::new();
+    PIPELINE.get_or_init(|| {
+        let mut ht = pipeline().clone();
+        let calib: Vec<Vec<Vec<f64>>> = scenarios()
+            .iter()
+            .map(|(_, spec)| spec.render().expect("render"))
+            .collect();
+        ht.enable_int8(&calib).expect("int8 calibration");
+        ht
+    })
+}
+
+/// The whole-capture reference the engine is pinned to, computed without
+/// it: a hand-framed `FrameAnalyzer` loop plus one `DirectivityAccum` push
+/// for the features, and `filter_causal → to_16k_from_48k →
+/// prepare_decimated` for the liveness input.
+fn reference_evidence(ht: &HeadTalk, channels: &[Vec<f64>]) -> (Vec<f64>, Vec<f64>) {
+    use ht_stream::{DirectivityAccum, FrameAnalyzer};
+    let config = ht.config();
+    let (frame_len, hop) = config.analysis_frame_geometry();
+    let n = channels.len();
+    let mut analyzer =
+        FrameAnalyzer::new(n, frame_len, config.max_lag, config.sample_rate).expect("analyzer");
+    analyzer.set_quant_mode(ht.quant_mode());
+    let mut dir = DirectivityAccum::new(n, config.directivity_segment_len(), config.sample_rate)
+        .expect("directivity");
+    let refs: Vec<&[f64]> = channels.iter().map(Vec::as_slice).collect();
+    dir.push(&refs).expect("directivity push");
+    let mut frame = vec![vec![0.0; frame_len]; n];
+    let mut start = 0;
+    while start + frame_len <= channels[0].len() {
+        for (dst, c) in frame.iter_mut().zip(channels) {
+            dst.copy_from_slice(&c[start..start + frame_len]);
+        }
+        analyzer.analyze(&frame).expect("analyze");
+        start += hop;
+    }
+    let mut features = Vec::new();
+    analyzer
+        .assemble_features_into(config.srp_peaks, &mut features)
+        .expect("assemble");
+    let spec = dir.flush_spectrum().expect("spectrum");
+    features.push(ht_dsp::spectrum::hlbr(spec));
+    ht_dsp::spectrum::push_low_band_chunk_stats(spec, config.low_band_chunks, &mut features);
+
+    let filtered = Preprocessor::new(config)
+        .expect("preprocessor")
+        .filter_causal(&channels[0]);
+    let x16k = ht_dsp::resample::to_16k_from_48k(&filtered).expect("decimate");
+    let liveness = headtalk::liveness::prepare_decimated(&x16k, config.liveness_input_len)
+        .expect("liveness input");
+    (features, liveness)
 }
 
 /// The scenario suite: facing/averted humans and replays.
@@ -160,6 +222,23 @@ fn assert_outcome_matches_batch(
     ctx: &str,
 ) {
     let (batch_decision, batch_features) = ht.decide_batch(channels).expect("batch");
+    let (ref_features, ref_liveness) = reference_evidence(ht, channels);
+    let ref_decision = ht.infer_assembled(&ref_features, &ref_liveness);
+    assert_bits_eq(
+        &batch_features,
+        &ref_features,
+        &format!("{ctx}: batch vs reference"),
+    );
+    assert_eq!(
+        batch_decision.live_probability.to_bits(),
+        ref_decision.live_probability.to_bits(),
+        "{ctx}: batch vs reference live probability bits"
+    );
+    assert_eq!(
+        batch_decision.facing_score.to_bits(),
+        ref_decision.facing_score.to_bits(),
+        "{ctx}: batch vs reference facing score bits"
+    );
     let decision = outcome
         .decision
         .expect("advisory streaming carries a decision");
@@ -185,20 +264,23 @@ fn assert_outcome_matches_batch(
 
 #[test]
 fn streaming_is_byte_identical_to_batch_on_every_scenario() {
-    let ht = pipeline();
-    let hop = StreamConfig::for_pipeline(ht.config()).hop;
-    for (name, spec) in scenarios() {
-        let channels = spec.render().expect("render");
-        // Hop-aligned, ragged (prime), and one-shot chunkings.
-        for chunk_len in [hop, 997, channels[0].len()] {
-            let outcome = stream_outcome(ht, &channels, chunk_len);
-            let ctx = format!("{name} (chunk {chunk_len})");
-            assert_outcome_matches_batch(ht, &channels, &outcome, &ctx);
+    let int8 = int8_pipeline();
+    assert_eq!(int8.quant_mode(), QuantMode::Int8);
+    for ht in [pipeline(), int8] {
+        let hop = StreamConfig::for_pipeline(ht.config()).hop;
+        let mode = ht.quant_mode();
+        for (name, spec) in scenarios() {
+            let channels = spec.render().expect("render");
+            // Hop-aligned, ragged (prime), and one-shot chunkings.
+            for chunk_len in [hop, 997, channels[0].len()] {
+                let outcome = stream_outcome(ht, &channels, chunk_len);
+                let ctx = format!("{name} ({mode:?}, chunk {chunk_len})");
+                assert_outcome_matches_batch(ht, &channels, &outcome, &ctx);
+            }
+            let (batch_decision, _) = ht.decide_batch(&channels).expect("batch");
+            let adapted = ht.process_wake(&channels).expect("adapter");
+            assert_eq!(adapted, batch_decision, "{name} ({mode:?}): process_wake");
         }
-        // The batch adapter rides the same streaming path.
-        let (batch_decision, _) = ht.decide_batch(&channels).expect("batch");
-        let adapted = ht.process_wake(&channels).expect("adapter");
-        assert_eq!(adapted, batch_decision, "{name}: process_wake adapter");
     }
 }
 

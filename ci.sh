@@ -94,9 +94,12 @@ step "fft plan-cache gate (bench fft_plans)" \
 
 # Streaming latency gate: the stream_latency bench drives the frame-by-frame
 # wake pipeline over rendered scenarios with observability on and asserts
-# (a) the stream.frame p95 stays inside half the 10 ms hop deadline and
+# (a) the stream.frame p95 stays inside half the 10 ms hop deadline,
 # (b) the steady-state push loop makes zero heap allocations, counted by a
-# wrapping global allocator. BENCH_stream.json lands in target/bench_out.
+# wrapping global allocator, and (c) the frame analyzer runs exactly one
+# inverse FFT per analyzed frame plus one per microphone pair per assembly
+# (a count, so it cannot flake). BENCH_stream.json lands in
+# target/bench_out.
 step "stream latency gate (bench stream_latency)" \
     env HT_BENCH_FAST=1 HT_BENCH_DIR="$PWD/target/bench_out" \
     cargo bench -q --offline -p ht-bench --bench stream_latency

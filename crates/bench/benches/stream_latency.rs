@@ -12,10 +12,16 @@
 //!   deadline (real-time with headroom),
 //! * the post-warmup push loop must make **zero** heap allocations
 //!   (counted by a wrapping global allocator, as in
-//!   `crates/dsp/tests/alloc_free.rs`).
+//!   `crates/dsp/tests/alloc_free.rs`),
+//! * the frame analyzer must run exactly one inverse FFT per analyzed
+//!   frame plus one per microphone pair per assembly (GCC-PHAT
+//!   accumulates in the frequency domain; a per-pair inverse creeping
+//!   back onto the per-frame path fails here). A count, not a timing, so
+//!   it cannot flake.
 //!
 //! Writes `BENCH_stream.json` (frame/stage percentiles, frames per
-//! second, per-scenario early-exit indices) into `HT_BENCH_DIR`.
+//! second, per-scenario early-exit indices and inverse-FFT counts) into
+//! `HT_BENCH_DIR`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -115,11 +121,17 @@ struct ScenarioReport {
     early_exit_frame: i64,
     early_exit_reason: &'static str,
     steady_allocs: u64,
+    /// Inverse FFTs the analyzer ran over the stream and one assembly.
+    gcc_inverse_ffts: u64,
+    /// What the frequency-domain accumulation allows: one per frame plus
+    /// one per pair.
+    gcc_inverse_ffts_expected: u64,
 }
 
 /// Streams one capture `passes` times (pass 0 is warmup: it populates the
 /// obs registry entries and the FFT plan cache). Later passes count heap
-/// allocations over the post-warmup portion of the push loop.
+/// allocations over the post-warmup portion of the push loop. Each pass
+/// ends with one assembly, whose inverse-FFT count is reported.
 fn run_scenario(
     ht: &HeadTalk,
     name: &'static str,
@@ -166,12 +178,16 @@ fn run_scenario(
             ),
             None => (-1, "none"),
         };
+        stream.assemble().expect("assemble");
+        let pairs = (channels.len() * (channels.len() - 1) / 2) as u64;
         report = Some(ScenarioReport {
             name,
             frames: stream.frames(),
             early_exit_frame: frame,
             early_exit_reason: reason,
             steady_allocs,
+            gcc_inverse_ffts: stream.gcc_inverse_ffts(),
+            gcc_inverse_ffts_expected: stream.frames() + pairs,
         });
     }
     report.expect("at least one pass ran")
@@ -234,7 +250,7 @@ fn main() {
         let channels = spec.render().expect("render");
         let r = run_scenario(&ht, name, &channels, passes);
         eprintln!(
-            "  {:<16} {:>4} frames  early exit {}  steady allocs {}",
+            "  {:<16} {:>4} frames  early exit {}  steady allocs {}  inverse FFTs {}",
             r.name,
             r.frames,
             if r.early_exit_frame < 0 {
@@ -243,6 +259,7 @@ fn main() {
                 format!("frame {} ({})", r.early_exit_frame, r.early_exit_reason)
             },
             r.steady_allocs,
+            r.gcc_inverse_ffts,
         );
         reports.push(r);
     }
@@ -306,6 +323,8 @@ fn main() {
                             .set("early_exit_frame", r.early_exit_frame)
                             .set("early_exit_reason", r.early_exit_reason)
                             .set("steady_allocs", r.steady_allocs)
+                            .set("gcc_inverse_ffts", r.gcc_inverse_ffts)
+                            .set("gcc_inverse_ffts_expected", r.gcc_inverse_ffts_expected)
                     })
                     .collect(),
             ),
@@ -317,7 +336,8 @@ fn main() {
         .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     eprintln!("suite stream: wrote {}", path.display());
 
-    // The CI gates: real-time with headroom, and a heap-silent loop.
+    // The CI gates: real-time with headroom, a heap-silent loop, and one
+    // inverse FFT per frame plus one per pair per assembly.
     let mut violations = Vec::new();
     if (frame.p95_ns as f64) > budget_ns {
         violations.push(format!(
@@ -334,6 +354,12 @@ fn main() {
                 r.name, r.steady_allocs
             ));
         }
+        if r.gcc_inverse_ffts != r.gcc_inverse_ffts_expected {
+            violations.push(format!(
+                "{}: {} inverse FFTs over {} frames and one assembly (must be {})",
+                r.name, r.gcc_inverse_ffts, r.frames, r.gcc_inverse_ffts_expected
+            ));
+        }
     }
     assert!(
         violations.is_empty(),
@@ -341,7 +367,8 @@ fn main() {
         violations.join("\n")
     );
     eprintln!(
-        "suite stream: gate ok (p95 {} < {} budget, 0 steady-state allocations)",
+        "suite stream: gate ok (p95 {} < {} budget, 0 steady-state allocations, \
+         one inverse FFT per frame plus one per pair per assembly)",
         format_ns(frame.p95_ns as f64),
         format_ns(budget_ns),
     );

@@ -82,6 +82,18 @@ impl Complex {
         self.re.hypot(self.im)
     }
 
+    /// Magnitude `|z|` as `√(re² + im²)`: a multiply-add and a square root
+    /// instead of [`abs`](Self::abs)'s overflow-safe `hypot` libm call, so
+    /// several times cheaper per bin. Within an ulp or two of `abs` while
+    /// `|z|` lies in about `[1e-154, 1e154]`; beyond that the square
+    /// overflows to `+∞` or underflows toward 0. The one magnitude every
+    /// spectrum-magnitude sweep (the directivity accumulator, the
+    /// magnitude spectrum behind `Spectrum::of`) goes through.
+    #[inline]
+    pub fn abs_fast(self) -> f64 {
+        self.norm_sqr().sqrt()
+    }
+
     /// Squared magnitude `|z|²`; cheaper than [`abs`](Self::abs) when only
     /// relative magnitudes matter.
     #[inline]

@@ -76,9 +76,15 @@ fn validate_pair(x: &[f64], y: &[f64]) -> Result<(), DspError> {
     Ok(())
 }
 
-/// Copies the circular correlation `r` into the `±max_lag` window: lag
-/// `l >= 0` lives at index `l`, lag `l < 0` at index `r.len() + l`.
-fn extract_lags(r: &[f64], max_lag: usize, values: &mut [f64]) {
+/// Copies the circular correlation `r` (an inverse FFT's output) into the
+/// `±max_lag` window `values`: lag `l >= 0` lives at index `l`, lag
+/// `l < 0` at index `r.len() + l`.
+///
+/// # Panics
+///
+/// Panics if `max_lag >= r.len()` or `values` is shorter than
+/// `2 · max_lag + 1`.
+pub fn extract_lags(r: &[f64], max_lag: usize, values: &mut [f64]) {
     let total = r.len();
     let lags = -(max_lag as isize)..=(max_lag as isize);
     for (slot, l) in values.iter_mut().zip(lags) {
@@ -265,10 +271,10 @@ impl Default for SpectraGccScratch {
 
 /// GCC-PHAT from two already-transformed one-sided spectra (as produced by
 /// `plan.forward_into` on the padded channels) into a caller-provided
-/// `±max_lag` window. Lets SRP-PHAT and the streaming frame analyzer forward
-/// each channel once instead of once per pair; values are identical to
-/// [`gcc_phat`] on the time-domain channels. Allocation-free once `scratch`
-/// has warmed up to the plan's size.
+/// `±max_lag` window. Lets SRP-PHAT forward each channel once instead of
+/// once per pair; values are identical to [`gcc_phat`] on the time-domain
+/// channels. Allocation-free once `scratch` has warmed up to the plan's
+/// size.
 ///
 /// # Panics
 ///
@@ -290,8 +296,8 @@ pub fn gcc_phat_from_spectra_into(
 /// [`QuantMode::Reference`] the fused byte-stable whitening kernel runs
 /// (identical to [`gcc_phat`] on the time-domain channels); under
 /// [`QuantMode::Int8`] the vectorized squared-magnitude kernel runs,
-/// agreeing within tolerance but not bitwise. The streaming frame analyzer
-/// dispatches here from its configured mode.
+/// agreeing within tolerance but not bitwise. Batch SRP-PHAT dispatches
+/// here from its configured mode.
 ///
 /// # Panics
 ///
@@ -319,14 +325,7 @@ pub fn gcc_phat_from_spectra_into_mode(
     scratch.cross.resize(bins, Complex::ZERO);
     scratch.mags.resize(bins, 0.0);
     scratch.r.resize(plan.len(), 0.0);
-    match mode {
-        QuantMode::Reference => {
-            kernels::cross_whiten_reference_into(xf, yf, &mut scratch.cross, &mut scratch.mags);
-        }
-        QuantMode::Int8 => {
-            kernels::cross_whiten_fast_into(xf, yf, &mut scratch.cross, &mut scratch.mags);
-        }
-    }
+    kernels::cross_whiten_into(mode, xf, yf, &mut scratch.cross, &mut scratch.mags);
     plan.inverse_into(&scratch.cross, &mut scratch.r, &mut scratch.fft);
     extract_lags(&scratch.r, max_lag, values);
 }

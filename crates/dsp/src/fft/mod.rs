@@ -144,9 +144,14 @@ pub fn rfft_onesided_len(n: usize) -> usize {
 /// One-sided magnitude spectrum of a real signal: `|X[0..=N/2]|`.
 ///
 /// The length is [`rfft_onesided_len`]`(x.len())`; bin `k` corresponds to
-/// frequency `k * sample_rate / next_pow2(x.len())`.
+/// frequency `k * sample_rate / next_pow2(x.len())`. Magnitudes come from
+/// [`Complex::abs_fast`], bit for bit what the streaming directivity
+/// accumulator computes.
 pub fn rfft_magnitude(x: &[f64]) -> Vec<f64> {
-    rfft_onesided(x).into_iter().map(|z| z.abs()).collect()
+    rfft_onesided(x)
+        .into_iter()
+        .map(Complex::abs_fast)
+        .collect()
 }
 
 /// Inverse FFT returning only the real parts (for spectra known to be

@@ -96,6 +96,27 @@ pub fn cross_whiten_reference_into(
     }
 }
 
+/// Fused cross-power product + PHAT whitening through the kernel `mode`
+/// selects: [`cross_whiten_reference_into`] under
+/// [`QuantMode::Reference`], [`cross_whiten_fast_into`] under
+/// [`QuantMode::Int8`]. The one dispatch point every GCC-PHAT caller uses.
+///
+/// # Panics
+///
+/// Panics if the four slices disagree in length.
+pub fn cross_whiten_into(
+    mode: QuantMode,
+    xf: &[Complex],
+    yf: &[Complex],
+    cross: &mut [Complex],
+    mags: &mut [f64],
+) {
+    match mode {
+        QuantMode::Reference => cross_whiten_reference_into(xf, yf, cross, mags),
+        QuantMode::Int8 => cross_whiten_fast_into(xf, yf, cross, mags),
+    }
+}
+
 /// Accumulator lanes of the fast kernel's chunked max fold — wide enough to
 /// fill a 256-bit vector of f64, small enough to stay in registers.
 const MAX_LANES: usize = 4;

@@ -42,6 +42,14 @@ pub fn normalize_zscore(x: &mut [f64]) {
     let n = x.len() as f64;
     let mean = x.iter().sum::<f64>() / n;
     let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+    normalize_zscore_with(x, mean, var);
+}
+
+/// [`normalize_zscore`] with the mean and population variance already in
+/// hand (as [`crate::stats::mean`] and [`crate::stats::variance_about`]
+/// compute them), so a caller that needed them anyway skips two passes.
+/// Bit-identical to [`normalize_zscore`] given those values.
+pub fn normalize_zscore_with(x: &mut [f64], mean: f64, var: f64) {
     let sd = var.sqrt();
     if sd > 0.0 {
         for v in x.iter_mut() {

@@ -15,11 +15,16 @@ pub fn mean(x: &[f64]) -> f64 {
 
 /// Population variance (0 for slices shorter than 1).
 pub fn variance(x: &[f64]) -> f64 {
+    variance_about(x, mean(x))
+}
+
+/// Population variance of `x` about a mean the caller already computed
+/// with [`mean`] (0 for an empty slice): one pass instead of two.
+pub fn variance_about(x: &[f64], mean: f64) -> f64 {
     if x.is_empty() {
         return 0.0;
     }
-    let m = mean(x);
-    x.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / x.len() as f64
+    x.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / x.len() as f64
 }
 
 /// Population standard deviation.

@@ -51,7 +51,11 @@ impl FromJson for Meta {
 /// v6: adaptive directivity flush — short captures (< one 32k segment)
 /// transform at the next power of two instead of the full segment, which
 /// moves their directivity-band feature values.
-const CACHE_VERSION: u32 = 6;
+/// v7: GCC-PHAT accumulates whitened cross-spectra in the frequency domain
+/// and inverts each pair once per assembly (reordered additions move the
+/// reverberation feature bits), and spectral magnitudes are `√(re² + im²)`
+/// instead of `hypot` (moves the directivity feature bits).
+const CACHE_VERSION: u32 = 7;
 
 /// The cache directory (`target/ht_cache`, created on demand).
 pub fn cache_dir() -> PathBuf {

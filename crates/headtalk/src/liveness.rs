@@ -84,16 +84,17 @@ pub fn prepare_decimated_into(
     }
     // Zero-variance guard, relative to the DC level so a constant capture
     // whose cropped window differs from its mean only by float rounding is
-    // still caught (an exact `== 0.0` would miss it).
+    // still caught (an exact `== 0.0` would miss it). The z-score reuses
+    // the guard's mean and variance: three passes over the input, not six.
     let mean = ht_dsp::stats::mean(out);
-    let var = ht_dsp::stats::variance(out);
+    let var = ht_dsp::stats::variance_about(out, mean);
     if var <= 1e-20 * (1.0 + mean * mean) {
         return Err(HeadTalkError::InvalidInput(format!(
             "zero-variance liveness input after resampling (mean {mean:.3e}): \
              silent or DC-only audio is not a classifiable utterance"
         )));
     }
-    ht_dsp::signal::normalize_zscore(out);
+    ht_dsp::signal::normalize_zscore_with(out, mean, var);
     Ok(())
 }
 
@@ -314,6 +315,41 @@ mod tests {
         // not exactly zero — variance; the relative threshold catches it.
         let err = prepare_input(&vec![0.75; 48_000], 8_000).unwrap_err();
         assert!(err.to_string().contains("zero-variance"), "{err}");
+    }
+
+    #[test]
+    fn prepare_decimated_matches_the_six_pass_composition_bit_for_bit() {
+        // The z-score reuses the guard's mean and variance; the result must
+        // equal mean → variance → normalize_zscore run separately.
+        let mut rng = StdRng::seed_from_u64(41);
+        for (len, target, offset, scale) in [
+            (8_000, 8_000, 0.0, 1.0),
+            (9_731, 8_000, 0.3, 1e-3),
+            (5_000, 8_000, -2.0, 40.0),
+            (8_001, 8_000, 1e3, 1e-6),
+        ] {
+            let x: Vec<f64> = (0..len)
+                .map(|_| offset + scale * ht_dsp::rng::gaussian(&mut rng))
+                .collect();
+            let mut got = Vec::new();
+            prepare_decimated_into(&x, target, &mut got).unwrap();
+
+            let mut want = x.clone();
+            if want.len() > target {
+                let start = (want.len() - target) / 2;
+                want = want[start..start + target].to_vec();
+            }
+            want.resize(target, 0.0);
+            let mean = ht_dsp::stats::mean(&want);
+            let var = ht_dsp::stats::variance(&want);
+            assert!(var > 1e-20 * (1.0 + mean * mean));
+            ht_dsp::signal::normalize_zscore(&mut want);
+
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.to_bits(), w.to_bits(), "len {len}");
+            }
+        }
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! per-frame STFT + sliding SRP-PHAT, the early-exit [`EarlyExitGate`]
 //! scoring each frame's cheap evidence
 //! ([`crate::liveness::frame_live_evidence`],
-//! [`crate::orientation::frame_facing_evidence`]), the per-pair GCC lag
-//! sums and directivity spectrum behind the §III-B3 feature vector, and a
-//! causally band-passed, streaming-decimated 16 kHz liveness branch — all
-//! on alloc-free scratch paths. Assembly builds the feature vector and the
-//! liveness input from those statistics in O(features); no audio is stored
-//! or revisited. A [`WakeStream`] is that accumulator plus the trained
+//! [`crate::orientation::frame_facing_evidence`]), the per-pair whitened
+//! cross-spectrum sums and directivity spectrum behind the §III-B3 feature
+//! vector, and a causally band-passed, streaming-decimated 16 kHz liveness
+//! branch — all on alloc-free scratch paths. Assembly builds the feature
+//! vector and the liveness input from those statistics in O(features); no
+//! audio is stored or revisited. A [`WakeStream`] is that accumulator plus the trained
 //! [`HeadTalk`] models that decide on it.
 //!
 //! Every decision and every training vector comes from here. Batch mode is
@@ -409,6 +409,14 @@ impl EvidenceAccum {
     /// tests pin this.
     pub fn directivity_flush_ffts(&self) -> u64 {
         self.dir.flush_ffts()
+    }
+
+    /// Inverse FFTs the frame analyzer has run since this accumulator was
+    /// constructed: one per analyzed frame plus one per microphone pair
+    /// per assembly. Survives [`reset`](EvidenceAccum::reset), like
+    /// [`directivity_flush_ffts`](Self::directivity_flush_ffts).
+    pub fn gcc_inverse_ffts(&self) -> u64 {
+        self.analyzer.gcc_inverse_ffts()
     }
 
     /// The stream's hop in samples (the natural push granularity).

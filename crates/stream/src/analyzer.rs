@@ -2,27 +2,33 @@
 //! sliding SRP-PHAT across every microphone pair from those shared spectra.
 //!
 //! The analyzer owns every buffer it needs — STFT plan and scratch,
-//! per-channel spectra, GCC cross/lag workspaces, the summed SRP curve —
-//! so [`analyze`](FrameAnalyzer::analyze) is allocation-free after
-//! construction. Frames are zero-padded to
+//! per-channel spectra, the whitening and inverse-FFT workspaces, the
+//! frequency-domain accumulators — so [`analyze`](FrameAnalyzer::analyze)
+//! is allocation-free after construction. Frames are zero-padded to
 //! `next_pow2(frame_len + max_lag + 1)` so circular GCC lags up to
 //! `±max_lag` never alias (the same pad rule as the batch
 //! `ht_dsp::srp::srp_phat`).
 //!
-//! Beyond the per-frame evidence, the analyzer also *accumulates* the
-//! running statistics the batch decision needs — per-pair GCC lag-window
-//! sums — so the reverberation half of the §III-B3 feature vector can be
-//! assembled at finalize time in O(features) via
-//! [`assemble_features_into`](FrameAnalyzer::assemble_features_into),
-//! without revisiting any audio. (The directivity half accumulates in
-//! [`crate::directivity::DirectivityAccum`], which needs longer windows
+//! GCC-PHAT is linear in the whitened cross-spectrum, so the analyzer
+//! never inverts a pair's spectrum per frame. Each frame whitens every
+//! pair, adds the whitened cross-spectrum both into that pair's running
+//! frequency-domain sum and into one frame SRP spectrum, and takes a
+//! single inverse FFT of the SRP spectrum for the gate's per-frame
+//! evidence. The running sums are what the batch decision needs: at
+//! finalize time
+//! [`assemble_features_into`](FrameAnalyzer::assemble_features_into)
+//! inverts each pair's sum once and builds the reverberation half of the
+//! §III-B3 feature vector in O(features), without revisiting any audio.
+//! That is one inverse FFT per frame plus one per pair per assembly,
+//! instead of one per pair per frame. (The directivity half accumulates
+//! in [`crate::directivity::DirectivityAccum`], which needs longer windows
 //! than one analysis frame.)
 
 use crate::error::StreamError;
 use ht_dsp::complex::Complex;
-use ht_dsp::correlate::{gcc_phat_from_spectra_into_mode, SpectraGccScratch};
-use ht_dsp::fft::{self, RealFftPlan};
-use ht_dsp::kernels::QuantMode;
+use ht_dsp::correlate::extract_lags;
+use ht_dsp::fft::{self, RealFftPlan, RealFftScratch};
+use ht_dsp::kernels::{self, QuantMode};
 use ht_dsp::spectrum::{HIGH_BAND_HZ, LOW_BAND_HZ};
 use ht_dsp::stft::StftProcessor;
 use ht_dsp::window::Window;
@@ -44,9 +50,6 @@ pub struct FrameFeatures {
     pub srp_peak: f64,
     /// Mean absolute value of the summed SRP-PHAT curve.
     pub srp_mean_abs: f64,
-    /// Interpolated GCC-PHAT peak lag (samples) per microphone pair, in
-    /// `(i, j)` pair order.
-    pub tdoas: Vec<f64>,
     /// Mean magnitude of the paper's 100–400 Hz low band (channel 0).
     pub low_band: f64,
     /// Mean magnitude of the paper's 500–4000 Hz high band (channel 0).
@@ -89,10 +92,16 @@ pub struct FrameAnalyzer {
     frame_len: usize,
     max_lag: usize,
     stft: StftProcessor,
-    plan: Arc<RealFftPlan>,
     spectra: Vec<Vec<Complex>>,
     pairs: Vec<(usize, usize)>,
-    gcc: SpectraGccScratch,
+    /// Whitened cross-spectrum of the pair being processed, and the
+    /// whitening kernel's magnitude scratch (`bins` each).
+    cross: Vec<Complex>,
+    mags: Vec<f64>,
+    /// This frame's SRP spectrum: the sum of its whitened cross-spectra.
+    srp_spec: Vec<Complex>,
+    /// The one inverse-FFT path, shared by frames and assembly.
+    inverse: LagInverter,
     lag_window: Vec<f64>,
     srp: Vec<f64>,
     /// `[lo, hi)` bin ranges of the paper's low/high bands for this
@@ -102,10 +111,14 @@ pub struct FrameAnalyzer {
     high_bins: (usize, usize),
     frames: u64,
     features: FrameFeatures,
-    /// Running per-pair GCC lag-window sums, `pairs × (2·max_lag + 1)` laid
-    /// out pair-major. Dividing by the frame count yields the Welch-style
-    /// frame-averaged lag curves the batch features are built from.
-    gcc_accum: Vec<f64>,
+    /// Running per-pair sums of the whitened cross-spectra, `pairs × bins`
+    /// laid out pair-major. Inverted at assembly and divided by the frame
+    /// count, they yield the Welch-style frame-averaged lag curves the
+    /// batch features are built from.
+    cross_accum: Vec<Complex>,
+    /// Assembly scratch: each pair's summed `±max_lag` window,
+    /// `pairs × (2·max_lag + 1)` pair-major.
+    pair_lags: Vec<f64>,
     /// Which whitening kernel per-frame GCC runs on: the byte-stable
     /// reference (default) or the vectorized Int8-path variant.
     quant: QuantMode,
@@ -162,7 +175,15 @@ impl FrameAnalyzer {
             stft,
             spectra: vec![vec![Complex::ZERO; bins]; channels],
             pairs,
-            gcc: SpectraGccScratch::new(),
+            cross: vec![Complex::ZERO; bins],
+            mags: vec![0.0; bins],
+            srp_spec: vec![Complex::ZERO; bins],
+            inverse: LagInverter {
+                plan,
+                lags: vec![0.0; n_fft],
+                scratch: RealFftScratch::new(),
+                count: 0,
+            },
             lag_window: vec![0.0; 2 * max_lag + 1],
             srp: vec![0.0; 2 * max_lag + 1],
             low_bins: (hz_to_bin(LOW_BAND_HZ.0), hz_to_bin(LOW_BAND_HZ.1)),
@@ -173,12 +194,11 @@ impl FrameAnalyzer {
                 rms: 0.0,
                 srp_peak: 0.0,
                 srp_mean_abs: 0.0,
-                tdoas: vec![0.0; n_pairs],
                 low_band: 0.0,
                 high_band: 0.0,
             },
-            plan,
-            gcc_accum: vec![0.0; n_pairs * (2 * max_lag + 1)],
+            cross_accum: vec![Complex::ZERO; n_pairs * bins],
+            pair_lags: vec![0.0; n_pairs * (2 * max_lag + 1)],
             quant: QuantMode::Reference,
         })
     }
@@ -227,30 +247,29 @@ impl FrameAnalyzer {
         }
         {
             let _srp = ht_obs::span("stream.srp");
-            self.srp.fill(0.0);
-            let w = 2 * self.max_lag + 1;
-            for (p, &(i, j)) in self.pairs.iter().enumerate() {
-                gcc_phat_from_spectra_into_mode(
+            self.srp_spec.fill(Complex::ZERO);
+            let bins = self.cross.len();
+            for (&(i, j), acc) in self
+                .pairs
+                .iter()
+                .zip(self.cross_accum.chunks_exact_mut(bins))
+            {
+                kernels::cross_whiten_into(
+                    self.quant,
                     &self.spectra[i],
                     &self.spectra[j],
-                    &self.plan,
-                    self.max_lag,
-                    &mut self.gcc,
-                    &mut self.lag_window,
-                    self.quant,
+                    &mut self.cross,
+                    &mut self.mags,
                 );
-                self.features.tdoas[p] = peak_lag_interpolated(&self.lag_window, self.max_lag);
-                for (acc, v) in self.srp.iter_mut().zip(&self.lag_window) {
-                    *acc += v;
-                }
-                // Running evidence for the finalize-time feature vector.
-                for (acc, v) in self.gcc_accum[p * w..(p + 1) * w]
-                    .iter_mut()
-                    .zip(&self.lag_window)
-                {
-                    *acc += v;
+                // Running evidence for the finalize-time feature vector,
+                // and this frame's SRP spectrum.
+                for ((a, s), &c) in acc.iter_mut().zip(&mut self.srp_spec).zip(&self.cross) {
+                    *a += c;
+                    *s += c;
                 }
             }
+            self.inverse
+                .invert_into(&self.srp_spec, self.max_lag, &mut self.srp);
         }
         let f = &mut self.features;
         f.frame_index = self.frames;
@@ -294,6 +313,14 @@ impl FrameAnalyzer {
         self.frames
     }
 
+    /// Inverse FFTs run since construction: one per analyzed frame plus
+    /// one per pair per assembly. Survives [`reset`](Self::reset) so a
+    /// pooled analyzer keeps a running total — the deterministic witness
+    /// that no per-pair inverse runs on the per-frame path.
+    pub fn gcc_inverse_ffts(&self) -> u64 {
+        self.inverse.count
+    }
+
     /// Assembles the reverberation half of the §III-B3 feature vector from
     /// the accumulated evidence, appending `srp_peaks + 5 +
     /// pairs·(window + 6)` values to `out`. O(features): no audio is
@@ -318,12 +345,23 @@ impl FrameAnalyzer {
         }
         let frames = self.frames as f64;
         let w = 2 * self.max_lag + 1;
+        let bins = self.cross.len();
+
+        // One inverse per pair: its summed cross-spectrum becomes its
+        // summed lag window (the IFFT is linear).
+        for (acc, window) in self
+            .cross_accum
+            .chunks_exact(bins)
+            .zip(self.pair_lags.chunks_exact_mut(w))
+        {
+            self.inverse.invert_into(acc, self.max_lag, window);
+        }
 
         // Frame-averaged SRP curve: sum of per-pair lag sums, then one
         // division per lag.
         self.srp.fill(0.0);
-        for p in 0..self.pairs.len() {
-            for (s, v) in self.srp.iter_mut().zip(&self.gcc_accum[p * w..(p + 1) * w]) {
+        for window in self.pair_lags.chunks_exact(w) {
+            for (s, v) in self.srp.iter_mut().zip(window) {
                 *s += v;
             }
         }
@@ -335,12 +373,8 @@ impl FrameAnalyzer {
 
         // Per-pair frame-averaged GCC windows: full window, interpolated
         // TDoA, summary statistics.
-        for p in 0..self.pairs.len() {
-            for (dst, v) in self
-                .lag_window
-                .iter_mut()
-                .zip(&self.gcc_accum[p * w..(p + 1) * w])
-            {
+        for window in self.pair_lags.chunks_exact(w) {
+            for (dst, v) in self.lag_window.iter_mut().zip(window) {
                 *dst = v / frames;
             }
             out.extend_from_slice(&self.lag_window);
@@ -357,7 +391,29 @@ impl FrameAnalyzer {
     /// analyzer's and allocation-free from the first frame.
     pub fn reset(&mut self) {
         self.frames = 0;
-        self.gcc_accum.fill(0.0);
+        self.cross_accum.fill(Complex::ZERO);
+    }
+}
+
+/// The analyzer's only inverse-FFT path: the plan, the circular lag
+/// buffer, the FFT scratch, and a running count of the inverses run.
+#[derive(Debug, Clone)]
+struct LagInverter {
+    plan: Arc<RealFftPlan>,
+    lags: Vec<f64>,
+    scratch: RealFftScratch,
+    /// Inverses since construction (survives `FrameAnalyzer::reset`).
+    count: u64,
+}
+
+impl LagInverter {
+    /// Inverts the one-sided cross-spectrum `spec` and copies the
+    /// `±max_lag` window of the circular result to `out`.
+    fn invert_into(&mut self, spec: &[Complex], max_lag: usize, out: &mut [f64]) {
+        self.plan
+            .inverse_into(spec, &mut self.lags, &mut self.scratch);
+        extract_lags(&self.lags, max_lag, out);
+        self.count += 1;
     }
 }
 
@@ -409,15 +465,88 @@ mod tests {
             .collect()
     }
 
+    /// The per-pair interpolated TDoAs of an assembled feature vector
+    /// (`srp_peaks + 5` SRP values, then per pair the window, its TDoA and
+    /// five summary statistics).
+    fn assembled_tdoas(a: &mut FrameAnalyzer, srp_peaks: usize) -> Vec<f64> {
+        let mut out = Vec::new();
+        a.assemble_features_into(srp_peaks, &mut out).unwrap();
+        let w = 2 * a.max_lag() + 1;
+        out[srp_peaks + 5..]
+            .chunks_exact(w + 6)
+            .map(|pair| pair[w])
+            .collect()
+    }
+
+    /// Bit patterns of the assembled feature vector.
+    fn assembled_bits(a: &mut FrameAnalyzer) -> Vec<u64> {
+        let mut out = Vec::new();
+        a.assemble_features_into(3, &mut out).unwrap();
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn recovers_the_inter_channel_delay() {
         let x = noise(960, 7);
         let y = fractional_delay(&x, 4.0, 16);
         let mut a = FrameAnalyzer::new(2, 960, 13, 48_000.0).unwrap();
         let f = a.analyze(&[x, y]).unwrap();
-        // Negative lag: the first channel leads (mirrors gcc_phat).
-        assert!((f.tdoas[0] + 4.0).abs() < 0.3, "tdoa {}", f.tdoas[0]);
         assert!(f.srp_sharpness() > 1.0);
+        // Negative lag: the first channel leads (mirrors gcc_phat).
+        let tdoas = assembled_tdoas(&mut a, 3);
+        assert_eq!(tdoas.len(), 1);
+        assert!((tdoas[0] + 4.0).abs() < 0.3, "tdoa {}", tdoas[0]);
+    }
+
+    #[test]
+    fn one_inverse_fft_per_frame_plus_one_per_pair_per_assembly() {
+        let x = noise(960, 13);
+        let y = fractional_delay(&x, 2.0, 16);
+        let z = fractional_delay(&x, 3.0, 16);
+        let mut a = FrameAnalyzer::new(3, 960, 13, 48_000.0).unwrap();
+        for _ in 0..4 {
+            a.analyze(&[x.clone(), y.clone(), z.clone()]).unwrap();
+        }
+        assert_eq!(a.gcc_inverse_ffts(), 4, "one inverse per frame");
+        a.assemble_features_into(3, &mut Vec::new()).unwrap();
+        assert_eq!(a.gcc_inverse_ffts(), 4 + 3, "one inverse per pair");
+        // The count is a running total across pooled sessions.
+        a.reset();
+        a.analyze(&[x, y, z]).unwrap();
+        assert_eq!(a.gcc_inverse_ffts(), 8);
+    }
+
+    #[test]
+    fn per_frame_srp_equals_the_sum_of_pairwise_gcc_phat() {
+        // Linearity: the one inverse of the summed whitened spectra is the
+        // SRP sum of the per-pair GCC-PHAT curves.
+        let x = noise(960, 19);
+        let y = fractional_delay(&x, 2.0, 16);
+        let z = fractional_delay(&x, 5.0, 16);
+        let frame = [x, y, z];
+        let mut a = FrameAnalyzer::new(3, 960, 13, 48_000.0).unwrap();
+        let f = a.analyze(&frame).unwrap().clone();
+        let plan = fft::rfft_plan(a.n_fft());
+        let mut stft = StftProcessor::with_n_fft(960, a.n_fft(), Window::Hann);
+        let specs: Vec<Vec<Complex>> = frame
+            .iter()
+            .map(|c| {
+                let mut spec = vec![Complex::ZERO; plan.onesided_len()];
+                stft.process_into(c, &mut spec);
+                spec
+            })
+            .collect();
+        let mut srp = vec![0.0; 27];
+        for &(i, j) in a.pairs() {
+            let gcc = ht_dsp::correlate::gcc_phat_from_spectra(&specs[i], &specs[j], &plan, 13);
+            for (s, v) in srp.iter_mut().zip(&gcc.values) {
+                *s += v;
+            }
+        }
+        let peak = srp.iter().copied().fold(f64::MIN, f64::max);
+        let mean_abs = srp.iter().map(|v| v.abs()).sum::<f64>() / srp.len() as f64;
+        assert!((f.srp_peak - peak).abs() <= 1e-12 * peak.abs().max(1.0));
+        assert!((f.srp_mean_abs - mean_abs).abs() <= 1e-12 * mean_abs.max(1.0));
     }
 
     #[test]
@@ -448,7 +577,7 @@ mod tests {
         assert_eq!(f.rms, 0.0);
         assert_eq!(f.srp_sharpness(), 0.0);
         assert_eq!(f.band_ratio(), 0.0);
-        assert!(f.tdoas.iter().all(|t| t.is_finite()));
+        assert!(assembled_tdoas(&mut a, 3).iter().all(|t| t.is_finite()));
     }
 
     #[test]
@@ -498,15 +627,23 @@ mod tests {
         let y = fractional_delay(&x, 3.0, 16);
         let mut a = FrameAnalyzer::new(2, 960, 13, 48_000.0).unwrap();
         let fresh = a.analyze(&[x.clone(), y.clone()]).unwrap().clone();
+        let fresh_tdoas = assembled_tdoas(&mut a, 3);
         // Drift the internal state, then reset.
         let _ = a.analyze(&[y.clone(), x.clone()]).unwrap();
         a.reset();
         assert_eq!(a.frames_analyzed(), 0);
-        let again = a.analyze(&[x, y]).unwrap();
+        let again = a.analyze(&[x.clone(), y.clone()]).unwrap().clone();
         assert_eq!(again.frame_index, 0);
-        assert_eq!(again.tdoas, fresh.tdoas);
         assert_eq!(again.srp_peak.to_bits(), fresh.srp_peak.to_bits());
         assert_eq!(again.low_band.to_bits(), fresh.low_band.to_bits());
+        assert_eq!(assembled_tdoas(&mut a, 3), fresh_tdoas);
+
+        // The assembled features after a reset are byte-identical to a
+        // never-used analyzer's: the frequency-domain accumulators carry
+        // nothing between sessions.
+        let mut never_used = FrameAnalyzer::new(2, 960, 13, 48_000.0).unwrap();
+        never_used.analyze(&[x, y]).unwrap();
+        assert_eq!(assembled_bits(&mut a), assembled_bits(&mut never_used));
     }
 
     #[test]
@@ -629,8 +766,8 @@ mod tests {
         let first = a.analyze(&[x.clone(), y.clone()]).unwrap().clone();
         for _ in 0..3 {
             let again = a.analyze(&[x.clone(), y.clone()]).unwrap();
-            assert_eq!(again.tdoas, first.tdoas);
             assert_eq!(again.srp_peak.to_bits(), first.srp_peak.to_bits());
+            assert_eq!(again.srp_mean_abs.to_bits(), first.srp_mean_abs.to_bits());
             assert_eq!(again.low_band.to_bits(), first.low_band.to_bits());
         }
     }

@@ -189,7 +189,7 @@ impl DirectivityAccum {
                 let _span = ht_obs::span("stream.directivity");
                 self.stft.process_into(&self.buf, &mut self.bins);
                 for (acc, z) in self.mag_accum.iter_mut().zip(&self.bins) {
-                    *acc += z.abs();
+                    *acc += z.abs_fast();
                 }
                 self.segments += 1;
                 self.buf.clear();
@@ -250,7 +250,7 @@ impl DirectivityAccum {
             plan.forward_into(&self.buf, &mut self.bins[..half], &mut self.scratch);
             self.spectrum.magnitudes.resize(half, 0.0);
             for (mag, z) in self.spectrum.magnitudes.iter_mut().zip(&self.bins[..half]) {
-                *mag = z.abs();
+                *mag = z.abs_fast();
             }
             self.spectrum.n_fft = m;
             self.flush_ffts += 1;
@@ -271,7 +271,7 @@ impl DirectivityAccum {
                     .zip(&self.mag_accum)
                     .zip(&self.bins)
                 {
-                    *m = (acc + z.abs()) / total;
+                    *m = (acc + z.abs_fast()) / total;
                 }
                 self.flush_ffts += 1;
                 ht_obs::counter_add("stream.directivity_flush_fft", 1);

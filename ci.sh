@@ -51,7 +51,8 @@ step "cargo test" cargo test -q --offline --release
 # The wake-serving benchmark (wakebench/) is its own crate that no
 # workspace target builds, yet it compiles against public pipeline and
 # serving APIs (decide_batch, orientation_features, liveness_input,
-# streamer_with, FrameAnalyzer::set_quant_mode, the ServeConfig fields).
+# streamer_with, the ServeConfig fields, and FrameAnalyzer::set_quant_mode,
+# now a no-op kept for the benchmark: there is one whitening kernel).
 # Building and unit-testing it here makes an API break fail CI rather than
 # the benchmark run.
 step "wakebench build + unit tests" \
@@ -118,12 +119,15 @@ step "server throughput gate (bench server_throughput)" \
     env HT_BENCH_FAST=1 HT_BENCH_DIR="$PWD/target/bench_out" \
     cargo bench -q --offline -p ht-bench --bench server_throughput
 
-# Quantized decision-path gate: the kernel_quant bench times the reference
-# vs vectorized GCC-PHAT whitening kernels and the f64 vs int8 liveness /
-# orientation inference backends, asserting the per-size cross-spectrum
-# speedup floors, a 2x floor on int8 liveness inference, an accuracy delta
-# within 0.5 pp of the f64 reference, byte-stability of the reference
-# path (building the int8 backends must not move a bit), and — on AVX2
+# Quantized decision-path gate: the kernel_quant bench times the one
+# GCC-PHAT whitening kernel against the fused-hypot whitening it replaced
+# (kept in the bench as a local baseline; rows keep their reference_/fast_
+# names) and the f64 vs int8 liveness / orientation inference backends,
+# asserting the per-size cross-spectrum speedup floors, a 2x floor on int8
+# liveness inference, an accuracy delta within 0.5 pp of the f64
+# reference, srp_phat byte-stable across two runs and within 1e-9 of an
+# SRP whitened with the baseline, byte-stability of the reference path
+# (building the int8 backends must not move a bit), and — on AVX2
 # machines — exact i32 agreement between the std::arch i8 kernels and the
 # scalar reference on every tested shape (non-AVX2 runners log a notice
 # and skip). BENCH_quant.json lands in target/bench_out.

@@ -1,11 +1,16 @@
 //! Quantized/vectorized decision-path gate.
 //!
-//! The `QuantMode::Int8` backend only earns its complexity if it is both
-//! fast and faithful, so this bench measures and CI-gates the contract
-//! from both sides:
+//! The `QuantMode::Int8` inference backend and the vectorized GCC-PHAT
+//! whitening kernel only earn their complexity if they are both fast and
+//! faithful, so this bench measures and CI-gates the contract from both
+//! sides:
 //!
-//! * the vectorized squared-magnitude whitening kernel must beat the
-//!   byte-stable reference kernel by the per-size floors of
+//! * the one whitening kernel, `ht_dsp::kernels::cross_whiten_into`
+//!   (squared magnitudes, chunked max fold, `1/√m²`), must beat the fused
+//!   `hypot` whitening it replaced — kept here as the local baseline
+//!   [`hypot_whiten_into`], timed under the historical
+//!   `cross_whiten/reference_*` row names (the kernel is `fast_*`) so
+//!   `BENCH_quant.json` stays comparable — by the per-size floors of
 //!   [`SPECTRUM_SIZES`] (2x at the batch-window size) at the SRP-PHAT
 //!   cross-spectrum sizes the pipeline actually uses,
 //! * int8 liveness inference ([`QuantizedNet`]) must run at least
@@ -18,18 +23,20 @@
 //!   f64 reference on a held-out corpus, and
 //! * the reference path must stay **byte-stable**: building the quantized
 //!   backends must not perturb a single bit of the f64 models' outputs,
-//!   and `srp_phat_mode(Int8)` must track the reference within tolerance.
+//!   `srp_phat` must repeat bit for bit, and it must track an SRP built
+//!   from the `hypot` baseline within 1e-9.
 //!
 //! Writes `BENCH_quant.json` (timings, speedups, accuracy deltas) into
 //! `HT_BENCH_DIR`.
 
 use ht_bench::{black_box, Suite};
 use ht_dsp::complex::Complex;
+use ht_dsp::correlate::extract_lags;
+use ht_dsp::fft;
 use ht_dsp::json::Json;
-use ht_dsp::kernels::{cross_whiten_fast_into, cross_whiten_reference_into};
+use ht_dsp::kernels::cross_whiten_into;
 use ht_dsp::rng::{gaussian, Rng, SeedableRng, StdRng};
-use ht_dsp::srp::srp_phat_mode;
-use ht_dsp::QuantMode;
+use ht_dsp::srp::srp_phat;
 use ht_ml::nn::{NeuralNet, NeuralNetConfig};
 use ht_ml::quant::{
     avx2_available, dist2_i8_avx2, dist2_i8_scalar, dot_i8_avx2, dot_i8_scalar, QuantScratch,
@@ -77,6 +84,54 @@ fn liveness_corpus(n_per: usize, len: usize, seed: u64) -> Dataset {
     ds
 }
 
+/// The fused `hypot` PHAT whitening the library ran before its one
+/// squared-magnitude kernel: one `hypot` per bin, a sequential max fold,
+/// and a per-component division. The speed and drift baseline only.
+fn hypot_whiten_into(xf: &[Complex], yf: &[Complex], cross: &mut [Complex], mags: &mut [f64]) {
+    let mut max_mag = 0.0f64;
+    for i in 0..cross.len() {
+        let c = xf[i] * yf[i].conj();
+        cross[i] = c;
+        mags[i] = c.abs();
+        max_mag = max_mag.max(mags[i]);
+    }
+    let floor = max_mag * 1e-4;
+    for (c, &m) in cross.iter_mut().zip(mags.iter()) {
+        *c = if m > floor && m > 1e-15 {
+            *c / m
+        } else {
+            Complex::ZERO
+        };
+    }
+}
+
+/// SRP-PHAT over all pairs with [`hypot_whiten_into`] in place of the
+/// library kernel: same pad rule, plan and pair order as `srp_phat`.
+fn hypot_srp(channels: &[&[f64]], max_lag: usize) -> Vec<f64> {
+    let n = channels[0].len();
+    let max_lag = max_lag.min(n - 1);
+    let plan = fft::rfft_plan(fft::next_pow2(n + max_lag + 1));
+    let specs: Vec<Vec<Complex>> = channels.iter().map(|c| plan.forward(c)).collect();
+    let bins = plan.onesided_len();
+    let mut cross = vec![Complex::ZERO; bins];
+    let mut mags = vec![0.0; bins];
+    let mut r = vec![0.0; plan.len()];
+    let mut scratch = fft::RealFftScratch::new();
+    let mut values = vec![0.0; 2 * max_lag + 1];
+    let mut srp = vec![0.0; 2 * max_lag + 1];
+    for i in 0..specs.len() {
+        for j in (i + 1)..specs.len() {
+            hypot_whiten_into(&specs[i], &specs[j], &mut cross, &mut mags);
+            plan.inverse_into(&cross, &mut r, &mut scratch);
+            extract_lags(&r, max_lag, &mut values);
+            for (s, v) in srp.iter_mut().zip(&values) {
+                *s += v;
+            }
+        }
+    }
+    srp
+}
+
 fn random_spectra(n: usize, seed: u64) -> (Vec<Complex>, Vec<Complex>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let xf: Vec<Complex> = (0..n)
@@ -115,18 +170,18 @@ fn main() {
     let mut suite = Suite::new("quant");
     let mut violations: Vec<String> = Vec::new();
 
-    // --- Cross-spectrum whitening kernels -------------------------------
+    // --- Cross-spectrum whitening: kernel vs the hypot baseline ---------
     let mut cross_speedups = Vec::new();
     for (k, &(n, floor)) in SPECTRUM_SIZES.iter().enumerate() {
         let (xf, yf) = random_spectra(n, 0xC0_55 + k as u64);
         let mut cross = vec![Complex::ZERO; n];
         let mut mags = vec![0.0; n];
         suite.bench(&format!("cross_whiten/reference_{n}"), || {
-            cross_whiten_reference_into(black_box(&xf), black_box(&yf), &mut cross, &mut mags);
+            hypot_whiten_into(black_box(&xf), black_box(&yf), &mut cross, &mut mags);
             cross[0]
         });
         suite.bench(&format!("cross_whiten/fast_{n}"), || {
-            cross_whiten_fast_into(black_box(&xf), black_box(&yf), &mut cross, &mut mags);
+            cross_whiten_into(black_box(&xf), black_box(&yf), &mut cross, &mut mags);
             cross[0]
         });
         let speedup = min_of(&suite, &format!("cross_whiten/reference_{n}"))
@@ -312,33 +367,29 @@ fn main() {
         min_of(&suite, "orientation_svm/reference_f64") / min_of(&suite, "orientation_svm/int8");
     eprintln!("  orientation svm int8: {svm_speedup:.2}x");
 
-    // --- Byte-stability guard, part 2: SRP modes ------------------------
+    // --- Byte-stability guard, part 2: SRP ------------------------------
     let mut rng = StdRng::seed_from_u64(0x5B9);
     let channels: Vec<Vec<f64>> = (0..4)
         .map(|_| (0..1024).map(|_| gaussian(&mut rng)).collect())
         .collect();
     let views: Vec<&[f64]> = channels.iter().map(Vec::as_slice).collect();
-    let reference = srp_phat_mode(&views, 16, QuantMode::Reference).expect("srp");
-    let again = srp_phat_mode(&views, 16, QuantMode::Reference).expect("srp");
-    for (a, b) in reference.srp.values.iter().zip(&again.srp.values) {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "reference SRP must be byte-stable"
-        );
+    let srp = srp_phat(&views, 16).expect("srp");
+    let again = srp_phat(&views, 16).expect("srp");
+    for (a, b) in srp.srp.values.iter().zip(&again.srp.values) {
+        assert_eq!(a.to_bits(), b.to_bits(), "SRP must be byte-stable");
     }
-    let fast = srp_phat_mode(&views, 16, QuantMode::Int8).expect("srp int8");
-    let srp_max_delta = reference
+    let baseline = hypot_srp(&views, 16);
+    let srp_max_delta = srp
         .srp
         .values
         .iter()
-        .zip(&fast.srp.values)
+        .zip(&baseline)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f64, f64::max);
-    eprintln!("  srp int8 vs reference: max delta {srp_max_delta:.2e}");
+    eprintln!("  srp vs hypot-whitened baseline: max delta {srp_max_delta:.2e}");
     if srp_max_delta > 1e-9 {
         violations.push(format!(
-            "srp int8 whitening drifted {srp_max_delta:.2e} from the reference (> 1e-9)"
+            "srp whitening drifted {srp_max_delta:.2e} from the hypot baseline (> 1e-9)"
         ));
     }
 

@@ -77,10 +77,8 @@ fn bench_table4(s: &mut Suite) {
     let channels = spec
         .render_mics(Some(&[0, 1, 2, 3, 4, 5]))
         .expect("six-mic render");
-    let pre = headtalk::preprocess::Preprocessor::new(&cfg).expect("preprocessor");
-    let denoised = pre.denoise_channels(&channels).expect("denoise");
     for n in [2usize, 4, 6] {
-        let subset: Vec<Vec<f64>> = denoised[..n].to_vec();
+        let subset: Vec<Vec<f64>> = channels[..n].to_vec();
         s.bench(&format!("table4_mic_count/features_{n}_mics"), || {
             headtalk::HeadTalk::orientation_features(&cfg, black_box(&subset))
         });

@@ -9,7 +9,7 @@
 use crate::complex::Complex;
 use crate::error::DspError;
 use crate::fft::{self, RealFftPlan, RealFftScratch};
-use crate::kernels::{self, QuantMode};
+use crate::kernels;
 use std::sync::Arc;
 
 /// A lag-domain correlation curve restricted to `±max_lag` samples.
@@ -98,10 +98,14 @@ pub fn extract_lags(r: &[f64], max_lag: usize, values: &mut [f64]) {
 }
 
 /// A reusable correlation engine for one channel length and lag window:
-/// the FFT plan and every intermediate buffer are allocated once, so each
-/// [`gcc_phat_into`](Correlator::gcc_phat_into) /
-/// [`xcorr_into`](Correlator::xcorr_into) call is allocation-free — the
-/// right shape for per-frame streaming use.
+/// the FFT plan and every intermediate buffer are allocated once, so
+/// repeated [`gcc_phat_into`](Correlator::gcc_phat_into) /
+/// [`xcorr_into`](Correlator::xcorr_into) calls on same-length pairs are
+/// allocation-free. GCC-PHAT whitens through
+/// [`kernels::cross_whiten_into`], the kernel the streaming analyzer runs.
+/// (The streaming decision path itself does not correlate pair by pair:
+/// `ht_stream::FrameAnalyzer` accumulates whitened cross-spectra and
+/// inverts them at assembly.)
 ///
 /// The one-shot free functions ([`gcc_phat`], [`xcorr`]) build a throwaway
 /// `Correlator` per call (sharing the cached plan) and produce identical
@@ -115,7 +119,7 @@ pub struct Correlator {
     xf: Vec<Complex>,
     yf: Vec<Complex>,
     cross: Vec<Complex>,
-    mags: Vec<f64>,
+    m2s: Vec<f64>,
     r: Vec<f64>,
 }
 
@@ -142,7 +146,7 @@ impl Correlator {
             xf: vec![Complex::ZERO; bins],
             yf: vec![Complex::ZERO; bins],
             cross: vec![Complex::ZERO; bins],
-            mags: vec![0.0; bins],
+            m2s: vec![0.0; bins],
             r: vec![0.0; plan.len()],
             plan,
         })
@@ -216,14 +220,7 @@ impl Correlator {
         self.plan.forward_into(x, &mut self.xf, &mut self.scratch);
         self.plan.forward_into(y, &mut self.yf, &mut self.scratch);
         if phat {
-            // Fused product + whiten kernel: bit-identical to the separate
-            // loops, one magnitude evaluation per bin instead of two.
-            kernels::cross_whiten_reference_into(
-                &self.xf,
-                &self.yf,
-                &mut self.cross,
-                &mut self.mags,
-            );
+            kernels::cross_whiten_into(&self.xf, &self.yf, &mut self.cross, &mut self.m2s);
         } else {
             for ((c, a), b) in self.cross.iter_mut().zip(&self.xf).zip(&self.yf) {
                 *c = *a * b.conj();
@@ -241,12 +238,11 @@ impl Correlator {
 /// Reusable working storage for [`gcc_phat_from_spectra_into`]: the cross
 /// spectrum, the lag-domain inverse and the FFT scratch. Buffers grow to the
 /// plan's size on first use and are reused verbatim afterwards, so a warmed
-/// scratch makes every subsequent call allocation-free — the shape per-frame
-/// streaming needs.
+/// scratch makes every subsequent call allocation-free.
 #[derive(Debug, Clone)]
 pub struct SpectraGccScratch {
     cross: Vec<Complex>,
-    mags: Vec<f64>,
+    m2s: Vec<f64>,
     r: Vec<f64>,
     fft: RealFftScratch,
 }
@@ -256,7 +252,7 @@ impl SpectraGccScratch {
     pub fn new() -> SpectraGccScratch {
         SpectraGccScratch {
             cross: Vec::new(),
-            mags: Vec::new(),
+            m2s: Vec::new(),
             r: Vec::new(),
             fft: RealFftScratch::new(),
         }
@@ -289,29 +285,6 @@ pub fn gcc_phat_from_spectra_into(
     scratch: &mut SpectraGccScratch,
     values: &mut [f64],
 ) {
-    gcc_phat_from_spectra_into_mode(xf, yf, plan, max_lag, scratch, values, QuantMode::Reference);
-}
-
-/// [`gcc_phat_from_spectra_into`] with an explicit kernel selection: under
-/// [`QuantMode::Reference`] the fused byte-stable whitening kernel runs
-/// (identical to [`gcc_phat`] on the time-domain channels); under
-/// [`QuantMode::Int8`] the vectorized squared-magnitude kernel runs,
-/// agreeing within tolerance but not bitwise. Batch SRP-PHAT dispatches
-/// here from its configured mode.
-///
-/// # Panics
-///
-/// As for [`gcc_phat_from_spectra_into`].
-#[allow(clippy::too_many_arguments)]
-pub fn gcc_phat_from_spectra_into_mode(
-    xf: &[Complex],
-    yf: &[Complex],
-    plan: &RealFftPlan,
-    max_lag: usize,
-    scratch: &mut SpectraGccScratch,
-    values: &mut [f64],
-    mode: QuantMode,
-) {
     let bins = plan.onesided_len();
     assert_eq!(xf.len(), bins, "x spectrum length");
     assert_eq!(yf.len(), bins, "y spectrum length");
@@ -323,9 +296,9 @@ pub fn gcc_phat_from_spectra_into_mode(
         plan.len()
     );
     scratch.cross.resize(bins, Complex::ZERO);
-    scratch.mags.resize(bins, 0.0);
+    scratch.m2s.resize(bins, 0.0);
     scratch.r.resize(plan.len(), 0.0);
-    kernels::cross_whiten_into(mode, xf, yf, &mut scratch.cross, &mut scratch.mags);
+    kernels::cross_whiten_into(xf, yf, &mut scratch.cross, &mut scratch.m2s);
     plan.inverse_into(&scratch.cross, &mut scratch.r, &mut scratch.fft);
     extract_lags(&scratch.r, max_lag, values);
 }
@@ -561,37 +534,6 @@ mod tests {
             gcc_phat_from_spectra_into(&xf, &yf, &plan, max_lag, &mut scratch, &mut values);
             assert_eq!(values, reference.values);
         }
-    }
-
-    #[test]
-    fn int8_mode_gcc_agrees_with_reference_within_tolerance() {
-        let x = broadband(960);
-        let y = fractional_delay(&x, 6.0, 16);
-        let max_lag = 13;
-        let plan = fft::rfft_plan(fft::next_pow2(x.len() + max_lag + 1));
-        let xf = plan.forward(&x);
-        let yf = plan.forward(&y);
-        let reference = gcc_phat(&x, &y, max_lag).unwrap();
-        let mut scratch = SpectraGccScratch::new();
-        let mut values = vec![0.0; 2 * max_lag + 1];
-        gcc_phat_from_spectra_into_mode(
-            &xf,
-            &yf,
-            &plan,
-            max_lag,
-            &mut scratch,
-            &mut values,
-            QuantMode::Int8,
-        );
-        for (got, want) in values.iter().zip(&reference.values) {
-            assert!((got - want).abs() < 1e-9, "{got} vs {want}");
-        }
-        // The peak — the TDoA evidence — lands on the same lag.
-        let fast = LagCurve {
-            values: values.clone(),
-            max_lag,
-        };
-        assert_eq!(fast.peak_lag(), reference.peak_lag());
     }
 
     #[test]

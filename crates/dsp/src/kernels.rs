@@ -1,42 +1,29 @@
 //! Flat, chunked, autovectorizable kernels for the decision hot path, and
-//! the [`QuantMode`] switch that selects between the byte-stable f64
-//! reference kernels and the faster approximate variants backing the int8
-//! quantized inference path.
+//! the [`QuantMode`] switch that selects the model-inference backend.
 //!
-//! Two whitening kernels implement the GCC-PHAT cross-spectrum product:
-//!
-//! * [`cross_whiten_reference_into`] fuses the product, magnitude and
-//!   running-max passes of the historical `product loop + whiten` sequence
-//!   into one streaming pass over contiguous scratch. It is **bit-identical**
-//!   to the original (same `hypot` magnitudes, same sequential max fold,
-//!   same per-component division) while computing each magnitude once
-//!   instead of twice — the reference path's golden reports stay
-//!   byte-stable.
-//! * [`cross_whiten_fast_into`] works in squared magnitudes (`re² + im²`,
-//!   no `hypot` libm call), takes the bin maximum with a chunked
-//!   multi-accumulator fold, and normalizes via `1/√m²` — every loop is a
-//!   flat FMA-able sweep the compiler autovectorizes. Values agree with the
-//!   reference to ~1e-12 relative but are *not* bit-identical, so this
-//!   kernel is only reachable under [`QuantMode::Int8`].
+//! [`cross_whiten_into`] is the one GCC-PHAT whitening kernel: it works in
+//! squared magnitudes (`re² + im²`, no `hypot` libm call), takes the bin
+//! maximum with a chunked multi-accumulator fold, and normalizes via
+//! `1/√m²` — every loop is a flat FMA-able sweep the compiler
+//! autovectorizes. Training, calibration and serving all run it, so they
+//! compute the same feature bits whichever backend scores them.
 
 use crate::complex::Complex;
 
-/// Which numeric backend the decision hot path runs on.
+/// Which model-inference backend the decision path runs on.
 ///
-/// `Reference` is the byte-stable f64 path every golden report is pinned
-/// against; `Int8` selects the vectorized whitening kernels here plus the
-/// int8 quantized model forwards in `ht-ml` (calibrated offline, accuracy
-/// gated within 0.5 pp of the reference in CI). Training, calibration and
-/// report-producing experiment paths always use `Reference`.
+/// `Reference` runs the f64 liveness network and orientation classifier;
+/// `Int8` runs the int8 quantized forwards in `ht-ml` (calibrated offline,
+/// accuracy gated within 0.5 pp of the reference in CI). The mode selects
+/// inference only: the feature and liveness-input bits a capture yields
+/// are the same under either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QuantMode {
-    /// The f64 reference path: byte-stable, golden-report pinned.
+    /// The f64 model forwards: byte-stable, golden-report pinned.
     #[default]
     Reference,
-    /// The quantized/vectorized fast path: int8 model forwards plus the
-    /// squared-magnitude whitening kernel. Logits and features agree with
-    /// the reference within tested tolerance bounds but are not
-    /// bit-identical.
+    /// The int8 quantized model forwards. Scores agree with the reference
+    /// within tested tolerance bounds but are not bit-identical.
     Int8,
 }
 
@@ -54,95 +41,25 @@ const PHAT_REL_FLOOR: f64 = 1e-4;
 /// Absolute magnitude floor guarding all-silent spectra.
 const PHAT_ABS_FLOOR: f64 = 1e-15;
 
-/// Fused cross-power product + PHAT whitening, reference flavour.
-///
-/// Computes `cross[i] = xf[i] · conj(yf[i])` whitened to unit magnitude
-/// (silencing bins below the relative/absolute floors), using `mags` as
-/// magnitude scratch so each bin's `hypot` is evaluated exactly once. The
-/// result is bit-identical to the separate product-then-whiten loops this
-/// replaces: magnitudes, the sequential `f64::max` fold and the
-/// per-component division are evaluated on the same values in the same
-/// order.
-///
-/// # Panics
-///
-/// Panics if the four slices disagree in length.
-pub fn cross_whiten_reference_into(
-    xf: &[Complex],
-    yf: &[Complex],
-    cross: &mut [Complex],
-    mags: &mut [f64],
-) {
-    let n = cross.len();
-    assert_eq!(xf.len(), n, "x spectrum length");
-    assert_eq!(yf.len(), n, "y spectrum length");
-    assert_eq!(mags.len(), n, "magnitude scratch length");
-    let mut max_mag = 0.0f64;
-    for i in 0..n {
-        let c = xf[i] * yf[i].conj();
-        cross[i] = c;
-        let m = c.abs();
-        mags[i] = m;
-        max_mag = max_mag.max(m);
-    }
-    let floor = max_mag * PHAT_REL_FLOOR;
-    for i in 0..n {
-        let m = mags[i];
-        cross[i] = if m > floor && m > PHAT_ABS_FLOOR {
-            cross[i] / m
-        } else {
-            Complex::ZERO
-        };
-    }
-}
-
-/// Fused cross-power product + PHAT whitening through the kernel `mode`
-/// selects: [`cross_whiten_reference_into`] under
-/// [`QuantMode::Reference`], [`cross_whiten_fast_into`] under
-/// [`QuantMode::Int8`]. The one dispatch point every GCC-PHAT caller uses.
-///
-/// # Panics
-///
-/// Panics if the four slices disagree in length.
-pub fn cross_whiten_into(
-    mode: QuantMode,
-    xf: &[Complex],
-    yf: &[Complex],
-    cross: &mut [Complex],
-    mags: &mut [f64],
-) {
-    match mode {
-        QuantMode::Reference => cross_whiten_reference_into(xf, yf, cross, mags),
-        QuantMode::Int8 => cross_whiten_fast_into(xf, yf, cross, mags),
-    }
-}
-
-/// Accumulator lanes of the fast kernel's chunked max fold — wide enough to
-/// fill a 256-bit vector of f64, small enough to stay in registers.
+/// Accumulator lanes of the chunked max fold — wide enough to fill a
+/// 256-bit vector of f64, small enough to stay in registers.
 const MAX_LANES: usize = 4;
 
-/// Fused cross-power product + PHAT whitening, vectorized flavour
-/// ([`QuantMode::Int8`] only).
+/// Fused cross-power product + PHAT whitening.
 ///
-/// Identical contract to [`cross_whiten_reference_into`] but works in
-/// squared magnitudes throughout: the product pass stores `re² + im²` into
-/// `m2s` (no `hypot`), the maximum is folded over [`MAX_LANES`] independent
-/// accumulators so the compiler can keep it in one vector register, and the
-/// normalize pass multiplies by `1/√m²`. The floors are squared
-/// (`(max·1e-4)² = max²·1e-8`, `(1e-15)² = 1e-30`), preserving the
-/// reference predicate in exact arithmetic; float rounding can flip bins
-/// sitting exactly on the floor, which is covered by the Int8 tolerance
-/// gate rather than byte-stability.
+/// Computes `cross[i] = xf[i] · conj(yf[i])` whitened to unit magnitude,
+/// silencing bins below the relative/absolute floors. Works in squared
+/// magnitudes throughout: the product pass stores `re² + im²` into `m2s`,
+/// the maximum is folded over [`MAX_LANES`] independent accumulators so the
+/// compiler can keep it in one vector register, and the normalize pass
+/// multiplies by `1/√m²`. The floors are squared (`(max·1e-4)² =
+/// max²·1e-8`, `(1e-15)² = 1e-30`), so the silencing predicate is the
+/// magnitude one in exact arithmetic.
 ///
 /// # Panics
 ///
 /// Panics if the four slices disagree in length.
-pub fn cross_whiten_fast_into(
-    xf: &[Complex],
-    yf: &[Complex],
-    cross: &mut [Complex],
-    m2s: &mut [f64],
-) {
+pub fn cross_whiten_into(xf: &[Complex], yf: &[Complex], cross: &mut [Complex], m2s: &mut [f64]) {
     let n = cross.len();
     assert_eq!(xf.len(), n, "x spectrum length");
     assert_eq!(yf.len(), n, "y spectrum length");
@@ -180,8 +97,8 @@ pub fn cross_whiten_fast_into(
 mod tests {
     use super::*;
 
-    /// The historical two-loop implementation the fused reference kernel
-    /// replaces, kept here verbatim as the bit-identity oracle.
+    /// The textbook two-loop `hypot` whitening, the oracle the kernel is
+    /// pinned against.
     fn naive_product_then_whiten(xf: &[Complex], yf: &[Complex]) -> Vec<Complex> {
         let mut cross: Vec<Complex> = xf.iter().zip(yf).map(|(a, b)| *a * b.conj()).collect();
         let max_mag = cross.iter().map(|c| c.abs()).fold(0.0, f64::max);
@@ -211,25 +128,13 @@ mod tests {
     }
 
     #[test]
-    fn reference_kernel_is_bit_identical_to_naive_loops() {
-        for n in [1usize, 3, 4, 7, 64, 129, 513] {
-            let (xf, yf) = spectra(n, 0x9E3779B97F4A7C15 ^ n as u64);
-            let expected = naive_product_then_whiten(&xf, &yf);
-            let mut cross = vec![Complex::ZERO; n];
-            let mut mags = vec![0.0; n];
-            cross_whiten_reference_into(&xf, &yf, &mut cross, &mut mags);
-            assert_eq!(cross, expected, "n = {n}");
-        }
-    }
-
-    #[test]
     fn fast_kernel_matches_reference_within_tolerance() {
         for n in [1usize, 5, 64, 257, 1024] {
             let (xf, yf) = spectra(n, 0xD1B54A32D192ED03 ^ n as u64);
             let expected = naive_product_then_whiten(&xf, &yf);
             let mut cross = vec![Complex::ZERO; n];
             let mut m2s = vec![0.0; n];
-            cross_whiten_fast_into(&xf, &yf, &mut cross, &mut m2s);
+            cross_whiten_into(&xf, &yf, &mut cross, &mut m2s);
             for (got, want) in cross.iter().zip(&expected) {
                 assert!(
                     (got.re - want.re).abs() < 1e-10 && (got.im - want.im).abs() < 1e-10,
@@ -243,11 +148,8 @@ mod tests {
     fn both_kernels_silence_an_all_zero_spectrum() {
         let zeros = vec![Complex::ZERO; 33];
         let mut cross = vec![Complex::ONE; 33];
-        let mut mags = vec![1.0; 33];
-        cross_whiten_reference_into(&zeros, &zeros, &mut cross, &mut mags);
-        assert!(cross.iter().all(|c| *c == Complex::ZERO));
-        let mut cross = vec![Complex::ONE; 33];
-        cross_whiten_fast_into(&zeros, &zeros, &mut cross, &mut mags);
+        let mut m2s = vec![1.0; 33];
+        cross_whiten_into(&zeros, &zeros, &mut cross, &mut m2s);
         assert!(cross.iter().all(|c| *c == Complex::ZERO));
     }
 
@@ -255,8 +157,8 @@ mod tests {
     fn whitened_bins_have_unit_magnitude() {
         let (xf, yf) = spectra(100, 42);
         let mut cross = vec![Complex::ZERO; 100];
-        let mut mags = vec![0.0; 100];
-        cross_whiten_reference_into(&xf, &yf, &mut cross, &mut mags);
+        let mut m2s = vec![0.0; 100];
+        cross_whiten_into(&xf, &yf, &mut cross, &mut m2s);
         for c in &cross {
             let m = c.abs();
             assert!(m == 0.0 || (m - 1.0).abs() < 1e-12, "|c| = {m}");

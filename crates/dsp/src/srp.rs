@@ -8,10 +8,9 @@
 //! GCC values and TDoAs, form the speech-reverberation feature set (§III-B3).
 
 use crate::complex::Complex;
-use crate::correlate::{gcc_phat_from_spectra_into_mode, LagCurve, SpectraGccScratch};
+use crate::correlate::{gcc_phat_from_spectra_into, LagCurve, SpectraGccScratch};
 use crate::error::DspError;
 use crate::fft;
-use crate::kernels::QuantMode;
 
 /// Result of an SRP-PHAT analysis over a multichannel frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +44,9 @@ impl SrpAnalysis {
 /// Computes SRP-PHAT over all `C(n, 2)` microphone pairs of a multichannel
 /// frame, restricted to lags `±max_lag` samples.
 ///
-/// `channels` holds one equal-length slice per microphone.
+/// `channels` holds one equal-length slice per microphone. Each pair is
+/// whitened by [`crate::kernels::cross_whiten_into`], the one GCC-PHAT
+/// kernel the streaming analyzer runs too.
 ///
 /// # Errors
 ///
@@ -68,22 +69,6 @@ impl SrpAnalysis {
 /// # }
 /// ```
 pub fn srp_phat(channels: &[&[f64]], max_lag: usize) -> Result<SrpAnalysis, DspError> {
-    srp_phat_mode(channels, max_lag, QuantMode::Reference)
-}
-
-/// [`srp_phat`] with an explicit whitening-kernel selection:
-/// [`QuantMode::Reference`] is byte-stable and identical to [`srp_phat`];
-/// [`QuantMode::Int8`] runs the vectorized squared-magnitude whitening
-/// kernel per pair (within tolerance of the reference, not bitwise).
-///
-/// # Errors
-///
-/// As for [`srp_phat`].
-pub fn srp_phat_mode(
-    channels: &[&[f64]],
-    max_lag: usize,
-    mode: QuantMode,
-) -> Result<SrpAnalysis, DspError> {
     let _span = ht_obs::span("dsp.srp_phat");
     if channels.len() < 2 {
         return Err(DspError::length(
@@ -124,14 +109,13 @@ pub fn srp_phat_mode(
     let gccs: Vec<LagCurve> = ht_par::par_map(&pairs, |&(i, j)| {
         let mut scratch = SpectraGccScratch::new();
         let mut values = vec![0.0; 2 * max_lag + 1];
-        gcc_phat_from_spectra_into_mode(
+        gcc_phat_from_spectra_into(
             &specs[i],
             &specs[j],
             &plan,
             max_lag,
             &mut scratch,
             &mut values,
-            mode,
         );
         LagCurve { values, max_lag }
     });
@@ -280,26 +264,6 @@ mod tests {
         let mut window = a.srp.values.clone();
         window.sort_by(|x, y| y.total_cmp(x));
         assert_eq!(&padded[..5], window.as_slice());
-    }
-
-    #[test]
-    fn int8_mode_srp_agrees_with_reference() {
-        let x = chirp(1024);
-        let mics: Vec<Vec<f64>> = (0..3)
-            .map(|k| fractional_delay(&x, k as f64 * 1.7, 16))
-            .collect();
-        let refs: Vec<&[f64]> = mics.iter().map(|m| m.as_slice()).collect();
-        let reference = srp_phat(&refs, 8).unwrap();
-        let fast = srp_phat_mode(&refs, 8, QuantMode::Int8).unwrap();
-        assert_eq!(fast.pairs, reference.pairs);
-        assert_eq!(fast.srp.peak_lag(), reference.srp.peak_lag());
-        for (a, b) in fast.srp.values.iter().zip(&reference.srp.values) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-        // Reference mode through the explicit entry point is bitwise the
-        // default path.
-        let explicit = srp_phat_mode(&refs, 8, QuantMode::Reference).unwrap();
-        assert_eq!(explicit, reference);
     }
 
     #[test]

@@ -55,7 +55,11 @@ impl FromJson for Meta {
 /// and inverts each pair once per assembly (reordered additions move the
 /// reverberation feature bits), and spectral magnitudes are `√(re² + im²)`
 /// instead of `hypot` (moves the directivity feature bits).
-const CACHE_VERSION: u32 = 7;
+/// v8: one GCC-PHAT whitening kernel (squared magnitudes, `1/√m²`) for
+/// every mode moves the reverberation feature bits, and the Table IV
+/// subsets extract from raw channels instead of band-passed, peak-
+/// normalized ones.
+const CACHE_VERSION: u32 = 8;
 
 /// The cache directory (`target/ht_cache`, created on demand).
 pub fn cache_dir() -> PathBuf {

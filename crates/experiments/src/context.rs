@@ -244,13 +244,10 @@ impl Context {
             let channels = spec
                 .render_mics(Some(&all_mics))
                 .expect("valid scenario geometry");
-            let pre =
-                headtalk::preprocess::Preprocessor::new(&cfg).expect("valid preprocessing config");
-            let denoised = pre.denoise_channels(&channels).expect("non-empty capture");
             subsets
                 .iter()
                 .map(|mics| {
-                    let sub: Vec<Vec<f64>> = mics.iter().map(|&m| denoised[m].clone()).collect();
+                    let sub: Vec<Vec<f64>> = mics.iter().map(|&m| channels[m].clone()).collect();
                     HeadTalk::orientation_features(&cfg, &sub)
                         .expect("feature extraction on rendered audio")
                 })

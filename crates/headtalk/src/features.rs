@@ -68,7 +68,6 @@ mod tests {
     use crate::HeadTalk;
     use ht_dsp::rng::SeedableRng;
     use ht_dsp::signal::fractional_delay;
-    use ht_dsp::QuantMode;
 
     fn extract(channels: &[Vec<f64>], cfg: &PipelineConfig) -> Result<Vec<f64>, HeadTalkError> {
         HeadTalk::orientation_features(cfg, channels)
@@ -145,9 +144,7 @@ mod tests {
         // finite.
         let cfg = PipelineConfig::default();
         let ch = vec![vec![0.0; 1024], vec![0.0; 1024]];
-        let mut accum =
-            EvidenceAccum::whole_capture(&cfg, &ch, QuantMode::Reference, cfg.liveness_input_len)
-                .unwrap();
+        let mut accum = EvidenceAccum::whole_capture(&cfg, &ch, cfg.liveness_input_len).unwrap();
         let f = accum.assemble_features().unwrap();
         assert_eq!(f.len(), feature_width(2, &cfg));
         assert!(f.iter().all(|v| v.is_finite()));

@@ -6,9 +6,7 @@
 //! contract — raw 16 kHz audio, zero mean / unit variance — and the same
 //! adaptation protocol ([`LivenessDetector::adapt`]).
 
-use crate::config::PipelineConfig;
 use crate::HeadTalkError;
-use ht_dsp::resample::to_16k_from_48k;
 use ht_dsp::QuantMode;
 use ht_ml::dataset::Dataset;
 use ht_ml::nn::{NeuralNet, NeuralNetConfig};
@@ -19,26 +17,6 @@ use ht_ml::Classifier;
 pub const LIVE_HUMAN: usize = 1;
 /// Label for loudspeaker-replayed audio.
 pub const REPLAYED: usize = 0;
-
-/// Prepares a 48 kHz capture channel for the liveness network: downsample
-/// to 16 kHz, center-crop or zero-pad to `target_len`, then normalize to
-/// zero mean and unit variance (the wav2vec2 input contract).
-///
-/// # Errors
-///
-/// Returns [`HeadTalkError::InvalidInput`] for empty audio, and for silent
-/// or DC-only audio: after resampling and cropping such a capture has
-/// (numerically) zero variance, so z-scoring would hand the network an
-/// all-zero — or rounding-noise-amplified — input instead of an utterance.
-/// A capture with no AC energy is not a classifiable utterance; callers get
-/// an error rather than a garbage verdict.
-pub fn prepare_input(audio_48k: &[f64], target_len: usize) -> Result<Vec<f64>, HeadTalkError> {
-    if audio_48k.is_empty() {
-        return Err(HeadTalkError::InvalidInput("empty audio".into()));
-    }
-    let x16k = to_16k_from_48k(audio_48k)?;
-    prepare_decimated(&x16k, target_len)
-}
 
 /// [`prepare_decimated_into`] returning a fresh vector.
 ///
@@ -51,12 +29,13 @@ pub fn prepare_decimated(x16k: &[f64], target_len: usize) -> Result<Vec<f64>, He
     Ok(out)
 }
 
-/// The post-decimation core of [`prepare_input`]: center-crop or zero-pad
-/// already-16 kHz audio to `target_len` into `out` (cleared first), guard
-/// against zero variance, and z-score in place. Allocation-free once `out`
-/// has capacity — the streaming finalize path calls this on a reused
-/// scratch buffer with the decimated samples its stream accumulated, and
-/// produces the very bits the batch path produces.
+/// Prepares already-16 kHz audio for the liveness network (the wav2vec2
+/// input contract): center-crop or zero-pad to `target_len` into `out`
+/// (cleared first), guard against zero variance, and z-score in place.
+/// Allocation-free once `out` has capacity — the streaming finalize path
+/// calls this on a reused scratch buffer with the band-passed, decimated
+/// samples its stream accumulated (see
+/// [`HeadTalk::liveness_input`](crate::HeadTalk::liveness_input)).
 ///
 /// # Errors
 ///
@@ -110,7 +89,8 @@ pub struct LivenessDetector {
 }
 
 impl LivenessDetector {
-    /// Trains on a dataset of *prepared* inputs (see [`prepare_input`])
+    /// Trains on a dataset of *prepared* inputs (see
+    /// [`HeadTalk::liveness_input`](crate::HeadTalk::liveness_input))
     /// labeled [`LIVE_HUMAN`] / [`REPLAYED`].
     ///
     /// # Errors
@@ -158,7 +138,8 @@ impl LivenessDetector {
 
     /// Builds the int8 inference backend from *prepared* calibration inputs
     /// (the same representation the detector scores — see
-    /// [`prepare_input`]). The f64 network is untouched.
+    /// [`HeadTalk::liveness_input`](crate::HeadTalk::liveness_input)). The
+    /// f64 network is untouched.
     ///
     /// # Errors
     ///
@@ -188,20 +169,6 @@ impl LivenessDetector {
             (Some(q), QuantMode::Int8) => q.predict_proba(prepared),
             _ => self.net.predict_proba(prepared),
         }
-    }
-
-    /// Classifies a raw 48 kHz capture channel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeadTalkError::InvalidInput`] for empty audio.
-    pub fn is_live_48k(
-        &self,
-        audio_48k: &[f64],
-        _config: &PipelineConfig,
-    ) -> Result<bool, HeadTalkError> {
-        let x = prepare_input(audio_48k, self.input_len)?;
-        Ok(self.net.predict(&x) == LIVE_HUMAN)
     }
 
     /// The expected prepared-input length.
@@ -293,27 +260,29 @@ mod tests {
 
     #[test]
     fn prepare_input_shapes_and_normalizes() {
-        let audio = ht_dsp::signal::tone(440.0, 48_000.0, 48_000, 0.3);
-        let x = prepare_input(&audio, 8_000).unwrap();
+        let audio = ht_dsp::signal::tone(440.0, 16_000.0, 16_000, 0.3);
+        let x = prepare_decimated(&audio, 8_000).unwrap();
         assert_eq!(x.len(), 8_000);
         let mean = ht_dsp::stats::mean(&x);
         let var = ht_dsp::stats::variance(&x);
         assert!(mean.abs() < 1e-9);
         assert!((var - 1.0).abs() < 1e-6);
         // Short audio is padded.
-        let short = ht_dsp::signal::tone(440.0, 48_000.0, 6_000, 0.3);
-        assert_eq!(prepare_input(&short, 8_000).unwrap().len(), 8_000);
-        assert!(prepare_input(&[], 8_000).is_err());
+        let short = ht_dsp::signal::tone(440.0, 16_000.0, 2_000, 0.3);
+        assert_eq!(prepare_decimated(&short, 8_000).unwrap().len(), 8_000);
+        // Empty audio pads to all zeros: nothing to classify.
+        assert!(prepare_decimated(&[], 8_000).is_err());
     }
 
     #[test]
     fn silent_and_dc_only_audio_is_rejected() {
         // A soft-muted microphone delivers exact zeros.
-        let err = prepare_input(&vec![0.0; 48_000], 8_000).unwrap_err();
+        let err = prepare_decimated(&[0.0; 16_000], 8_000).unwrap_err();
         assert!(err.to_string().contains("zero-variance"), "{err}");
         // A DC offset survives the decimation FIR with rounding-level —
         // not exactly zero — variance; the relative threshold catches it.
-        let err = prepare_input(&vec![0.75; 48_000], 8_000).unwrap_err();
+        let dc = ht_dsp::resample::to_16k_from_48k(&[0.75; 48_000]).unwrap();
+        let err = prepare_decimated(&dc, 8_000).unwrap_err();
         assert!(err.to_string().contains("zero-variance"), "{err}");
     }
 

@@ -206,15 +206,11 @@ impl HeadTalk {
         ))
     }
 
-    /// The engine fed `channels` as one chunk, with this pipeline's kernel
-    /// selection and liveness width, after the feature-width check.
+    /// The engine fed `channels` as one chunk at this pipeline's liveness
+    /// width, after the feature-width check.
     fn whole_capture(&self, channels: &[Vec<f64>]) -> Result<EvidenceAccum, HeadTalkError> {
-        let accum = EvidenceAccum::whole_capture(
-            &self.config,
-            channels,
-            self.quant,
-            self.liveness.input_len(),
-        )?;
+        let accum =
+            EvidenceAccum::whole_capture(&self.config, channels, self.liveness.input_len())?;
         self.validate_feature_width(channels.len())?;
         Ok(accum)
     }
@@ -268,10 +264,10 @@ impl HeadTalk {
         Ok(())
     }
 
-    /// The orientation feature vector of a raw capture, as
-    /// [`decide_batch`](HeadTalk::decide_batch) scores it under
-    /// [`QuantMode::Reference`]. The dataset builders train on this, so
-    /// training and inference share one code path.
+    /// The orientation feature vector of a raw capture, bit for bit as
+    /// [`decide_batch`](HeadTalk::decide_batch) and a served stream score
+    /// it under either [`QuantMode`]. The dataset builders train on this,
+    /// so training and inference share one code path.
     ///
     /// # Errors
     ///
@@ -282,12 +278,7 @@ impl HeadTalk {
         channels: &[Vec<f64>],
     ) -> Result<Vec<f64>, HeadTalkError> {
         let _span = ht_obs::span("wake.orientation_features");
-        let mut accum = EvidenceAccum::whole_capture(
-            config,
-            channels,
-            QuantMode::Reference,
-            config.liveness_input_len,
-        )?;
+        let mut accum = EvidenceAccum::whole_capture(config, channels, config.liveness_input_len)?;
         Ok(accum.assemble()?.features.to_vec())
     }
 
@@ -304,12 +295,7 @@ impl HeadTalk {
         channels: &[Vec<f64>],
     ) -> Result<Vec<f64>, HeadTalkError> {
         let _span = ht_obs::span("wake.liveness_input");
-        let mut accum = EvidenceAccum::whole_capture(
-            config,
-            channels,
-            QuantMode::Reference,
-            config.liveness_input_len,
-        )?;
+        let mut accum = EvidenceAccum::whole_capture(config, channels, config.liveness_input_len)?;
         Ok(accum.assemble()?.liveness_input.to_vec())
     }
 }

@@ -42,7 +42,6 @@ use crate::preprocess::Preprocessor;
 use crate::{features, HeadTalkError};
 use ht_dsp::filter::StreamingSos;
 use ht_dsp::resample::StreamDecimator;
-use ht_dsp::QuantMode;
 use ht_stream::{DirectivityAccum, EarlyExitGate, FrameAnalyzer, FrameRing};
 
 pub use ht_stream::{
@@ -214,10 +213,8 @@ pub struct EvidenceAccum {
 }
 
 impl EvidenceAccum {
-    /// An empty accumulator for `n_channels` microphones. `quant` selects
-    /// the per-frame GCC whitening kernel (fast squared-magnitude under
-    /// Int8, byte-stable hypot under Reference); `liv_input_len` is the
-    /// liveness input width in 16 kHz samples.
+    /// An empty accumulator for `n_channels` microphones; `liv_input_len`
+    /// is the liveness input width in 16 kHz samples.
     ///
     /// # Errors
     ///
@@ -228,7 +225,6 @@ impl EvidenceAccum {
         config: &PipelineConfig,
         n_channels: usize,
         stream: StreamConfig,
-        quant: QuantMode,
         liv_input_len: usize,
     ) -> Result<EvidenceAccum, HeadTalkError> {
         let ring = FrameRing::with_capacity(
@@ -237,13 +233,12 @@ impl EvidenceAccum {
             stream.hop,
             stream.frame_len + 2 * stream.hop,
         )?;
-        let mut analyzer = FrameAnalyzer::new(
+        let analyzer = FrameAnalyzer::new(
             n_channels,
             stream.frame_len,
             config.max_lag,
             config.sample_rate,
         )?;
-        analyzer.set_quant_mode(quant);
         let capacity = if stream.capacity_hint > 0 {
             stream.capacity_hint
         } else {
@@ -284,14 +279,13 @@ impl EvidenceAccum {
     pub(crate) fn whole_capture(
         config: &PipelineConfig,
         channels: &[Vec<f64>],
-        quant: QuantMode,
         liv_input_len: usize,
     ) -> Result<EvidenceAccum, HeadTalkError> {
         let stream = StreamConfig {
             capacity_hint: channels.first().map_or(0, Vec::len),
             ..StreamConfig::for_pipeline(config)
         };
-        let mut accum = EvidenceAccum::new(config, channels.len(), stream, quant, liv_input_len)?;
+        let mut accum = EvidenceAccum::new(config, channels.len(), stream, liv_input_len)?;
         let chunk: Vec<&[f64]> = channels.iter().map(Vec::as_slice).collect();
         accum.push(&chunk)?;
         Ok(accum)
@@ -580,13 +574,8 @@ impl HeadTalk {
         n_channels: usize,
         config: StreamConfig,
     ) -> Result<WakeStream<'_>, HeadTalkError> {
-        let evidence = EvidenceAccum::new(
-            self.config(),
-            n_channels,
-            config,
-            self.quant_mode(),
-            self.liveness_input_len(),
-        )?;
+        let evidence =
+            EvidenceAccum::new(self.config(), n_channels, config, self.liveness_input_len())?;
         self.validate_feature_width(n_channels)?;
         Ok(WakeStream { ht: self, evidence })
     }

@@ -28,7 +28,7 @@ use crate::error::StreamError;
 use ht_dsp::complex::Complex;
 use ht_dsp::correlate::extract_lags;
 use ht_dsp::fft::{self, RealFftPlan, RealFftScratch};
-use ht_dsp::kernels::{self, QuantMode};
+use ht_dsp::kernels;
 use ht_dsp::spectrum::{HIGH_BAND_HZ, LOW_BAND_HZ};
 use ht_dsp::stft::StftProcessor;
 use ht_dsp::window::Window;
@@ -95,9 +95,9 @@ pub struct FrameAnalyzer {
     spectra: Vec<Vec<Complex>>,
     pairs: Vec<(usize, usize)>,
     /// Whitened cross-spectrum of the pair being processed, and the
-    /// whitening kernel's magnitude scratch (`bins` each).
+    /// whitening kernel's squared-magnitude scratch (`bins` each).
     cross: Vec<Complex>,
-    mags: Vec<f64>,
+    m2s: Vec<f64>,
     /// This frame's SRP spectrum: the sum of its whitened cross-spectra.
     srp_spec: Vec<Complex>,
     /// The one inverse-FFT path, shared by frames and assembly.
@@ -119,9 +119,6 @@ pub struct FrameAnalyzer {
     /// Assembly scratch: each pair's summed `±max_lag` window,
     /// `pairs × (2·max_lag + 1)` pair-major.
     pair_lags: Vec<f64>,
-    /// Which whitening kernel per-frame GCC runs on: the byte-stable
-    /// reference (default) or the vectorized Int8-path variant.
-    quant: QuantMode,
 }
 
 impl FrameAnalyzer {
@@ -176,7 +173,7 @@ impl FrameAnalyzer {
             spectra: vec![vec![Complex::ZERO; bins]; channels],
             pairs,
             cross: vec![Complex::ZERO; bins],
-            mags: vec![0.0; bins],
+            m2s: vec![0.0; bins],
             srp_spec: vec![Complex::ZERO; bins],
             inverse: LagInverter {
                 plan,
@@ -199,21 +196,14 @@ impl FrameAnalyzer {
             },
             cross_accum: vec![Complex::ZERO; n_pairs * bins],
             pair_lags: vec![0.0; n_pairs * (2 * max_lag + 1)],
-            quant: QuantMode::Reference,
         })
     }
 
-    /// Selects the whitening kernel for subsequent frames. Streams mixing
-    /// modes mid-capture would mix accumulator provenances, so callers set
-    /// this once, right after construction or a [`reset`](Self::reset).
-    pub fn set_quant_mode(&mut self, mode: QuantMode) {
-        self.quant = mode;
-    }
-
-    /// The active whitening-kernel selection.
-    pub fn quant_mode(&self) -> QuantMode {
-        self.quant
-    }
+    // A no-op kept because the wake-serving benchmark's layer probe
+    // (`wakebench/src/layers.rs`) still calls it: there is one whitening
+    // kernel, so no mode can change what the analyzer computes.
+    #[doc(hidden)]
+    pub fn set_quant_mode(&mut self, _mode: ht_dsp::QuantMode) {}
 
     /// Analyzes one frame (`channels` buffers of exactly `frame_len`
     /// samples) and returns the evidence. Allocation-free; the returned
@@ -255,11 +245,10 @@ impl FrameAnalyzer {
                 .zip(self.cross_accum.chunks_exact_mut(bins))
             {
                 kernels::cross_whiten_into(
-                    self.quant,
                     &self.spectra[i],
                     &self.spectra[j],
                     &mut self.cross,
-                    &mut self.mags,
+                    &mut self.m2s,
                 );
                 // Running evidence for the finalize-time feature vector,
                 // and this frame's SRP spectrum.
@@ -731,31 +720,6 @@ mod tests {
         for (f, g) in fresh.iter().zip(&again) {
             assert_eq!(f.to_bits(), g.to_bits());
         }
-    }
-
-    #[test]
-    fn int8_mode_agrees_with_reference_and_survives_reset() {
-        let x = noise(960, 31);
-        let y = fractional_delay(&x, 3.0, 16);
-        let mut reference = FrameAnalyzer::new(2, 960, 13, 48_000.0).unwrap();
-        let mut fast = FrameAnalyzer::new(2, 960, 13, 48_000.0).unwrap();
-        fast.set_quant_mode(QuantMode::Int8);
-        assert_eq!(fast.quant_mode(), QuantMode::Int8);
-
-        reference.analyze(&[x.clone(), y.clone()]).unwrap();
-        fast.analyze(&[x.clone(), y.clone()]).unwrap();
-        let mut want = Vec::new();
-        reference.assemble_features_into(3, &mut want).unwrap();
-        let mut got = Vec::new();
-        fast.assemble_features_into(3, &mut got).unwrap();
-        assert_eq!(want.len(), got.len());
-        for (w, g) in want.iter().zip(&got) {
-            assert!((w - g).abs() < 1e-8, "{w} vs {g}");
-        }
-
-        // Reset keeps the configured mode (pooled slots set it once).
-        fast.reset();
-        assert_eq!(fast.quant_mode(), QuantMode::Int8);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!   analysis frames with no steady-state allocations.
 //! * [`FrameAnalyzer`] — one shared forward FFT per channel per frame
 //!   (the alloc-free `StftProcessor` scratch path), then sliding SRP-PHAT
-//!   over every microphone pair via
-//!   `ht_dsp::correlate::gcc_phat_from_spectra_into`, plus the paper's
-//!   low/high band evidence.
+//!   over every microphone pair from cross-spectra whitened by
+//!   `ht_dsp::kernels::cross_whiten_into`, plus the paper's low/high band
+//!   evidence.
 //! * [`DirectivityAccum`] — Welch-style running average of long
 //!   channel-mean magnitude spectra, the incremental carrier of the
 //!   paper's speech-directivity evidence (HLBR + low-band chunks).

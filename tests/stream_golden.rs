@@ -4,7 +4,9 @@
 //! (`HeadTalk::decide_batch`, the same engine fed one chunk) and to an
 //! independent whole-capture reference that never touches the engine
 //! ([`reference_evidence`]), on every `ht-datagen` scenario, under both
-//! kernel selections, at any thread count, with observability on or off.
+//! inference backends, at any thread count, with observability on or off.
+//! The training extractors (`HeadTalk::orientation_features`,
+//! `HeadTalk::liveness_input`) return those same bits.
 //! Plus the typed rejection of mid-stream geometry changes and the
 //! enforcing gate's early soft-mute.
 
@@ -111,7 +113,6 @@ fn reference_evidence(ht: &HeadTalk, channels: &[Vec<f64>]) -> (Vec<f64>, Vec<f6
     let n = channels.len();
     let mut analyzer =
         FrameAnalyzer::new(n, frame_len, config.max_lag, config.sample_rate).expect("analyzer");
-    analyzer.set_quant_mode(ht.quant_mode());
     let mut dir = DirectivityAccum::new(n, config.directivity_segment_len(), config.sample_rate)
         .expect("directivity");
     let refs: Vec<&[f64]> = channels.iter().map(Vec::as_slice).collect();
@@ -277,11 +278,49 @@ fn streaming_is_byte_identical_to_batch_on_every_scenario() {
                 let ctx = format!("{name} ({mode:?}, chunk {chunk_len})");
                 assert_outcome_matches_batch(ht, &channels, &outcome, &ctx);
             }
-            let (batch_decision, _) = ht.decide_batch(&channels).expect("batch");
+            let (batch_decision, batch_features) = ht.decide_batch(&channels).expect("batch");
             let adapted = ht.process_wake(&channels).expect("adapter");
             assert_eq!(adapted, batch_decision, "{name} ({mode:?}): process_wake");
+            let ctx = format!("{name} ({mode:?})");
+            assert_training_evidence_is_served(ht, &channels, &batch_features, &ctx);
         }
     }
+}
+
+/// The models are trained and calibrated on `orientation_features` and
+/// `liveness_input`; under either backend, `decide_batch` and a served
+/// stream must score exactly those bits.
+fn assert_training_evidence_is_served(
+    ht: &HeadTalk,
+    channels: &[Vec<f64>],
+    batch_features: &[f64],
+    ctx: &str,
+) {
+    let config = ht.config();
+    let train_features = HeadTalk::orientation_features(config, channels).expect("features");
+    let train_liveness = HeadTalk::liveness_input(config, channels).expect("liveness input");
+    assert_bits_eq(
+        &train_features,
+        batch_features,
+        &format!("{ctx}: training vs decide_batch features"),
+    );
+    let mut stream = ht.streamer(channels.len()).expect("streamer");
+    push_chunks(
+        &mut stream,
+        channels,
+        StreamConfig::for_pipeline(config).hop,
+    );
+    let served = stream.assemble().expect("served evidence");
+    assert_bits_eq(
+        &train_features,
+        served.features,
+        &format!("{ctx}: training vs served features"),
+    );
+    assert_bits_eq(
+        &train_liveness,
+        served.liveness_input,
+        &format!("{ctx}: training vs served liveness input"),
+    );
 }
 
 #[test]
